@@ -98,7 +98,11 @@ def _load_divisor(graph, arg: str) -> Divisor:
         ) from exc
     if not isinstance(data, dict):
         raise InputError("divisor JSON must be an object of label: integer")
-    return Divisor(graph, {k: int(v) for k, v in data.items()})
+    try:
+        coeffs = {k: int(v) for k, v in data.items()}
+    except TypeError as exc:
+        raise InputError(f"divisor coefficients must be integers: {exc}") from exc
+    return Divisor(graph, coeffs)
 
 
 def _load_qdivisor(qgraph, arg: str) -> QDivisor:
@@ -116,11 +120,21 @@ def _load_qdivisor(qgraph, arg: str) -> QDivisor:
         )
     coeffs = {}
     for entry in data:
-        coeff = int(entry["coeff"])
-        if "vertex" in entry:
-            point = qgraph.vertex_point(entry["vertex"])
-        else:
-            point = qgraph.point(int(entry["edge"]), Fraction(str(entry["offset"])))
+        if not isinstance(entry, dict) or "coeff" not in entry or not (
+            "vertex" in entry or ("edge" in entry and "offset" in entry)
+        ):
+            raise InputError(
+                'each metric divisor entry must be an object with "coeff" and'
+                f' either "vertex" or "edge" and "offset"; got {entry!r}'
+            )
+        try:
+            coeff = int(entry["coeff"])
+            if "vertex" in entry:
+                point = qgraph.vertex_point(entry["vertex"])
+            else:
+                point = qgraph.point(int(entry["edge"]), Fraction(str(entry["offset"])))
+        except TypeError as exc:
+            raise InputError(f"bad metric divisor entry {entry!r}: {exc}") from exc
         coeffs[point] = coeffs.get(point, 0) + coeff
     return QDivisor(qgraph, coeffs)
 
@@ -329,7 +343,10 @@ def _cmd_sweep(args) -> CommandResult:
 
 
 def _cmd_replay(args) -> CommandResult:
-    rows = replay_records(args.file)
+    try:
+        rows = replay_records(args.file)
+    except OSError as exc:
+        raise InputError(f"cannot read {args.file!r}: {exc}") from exc
     mismatches = [
         {"experiment": rec.experiment, "seed": rec.seed, "recomputed": new}
         for rec, ok, new in rows
@@ -412,12 +429,6 @@ def _global_flags(parser, suppress):
         action="store_true",
         help="exit 2 when findings are reported",
         **({"default": default} if suppress else {}),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="worker cap (records stay deterministic)",
-        **({"default": default} if suppress else {"default": 1}),
     )
 
 
@@ -530,17 +541,6 @@ def _human(result: CommandResult, command: str):
         return
     for key, value in payload.items():
         print(f"{key}: {value}")
-
-
-def dispatch(argv) -> CommandResult:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        raise InputError("--threads must be >= 1")
-    try:
-        return args.fn(args)
-    except (ChipfireError, ValueError) as exc:
-        return CommandResult("error", {"error": str(exc)}, [str(exc)])
 
 
 def main(argv=None) -> int:

@@ -84,7 +84,9 @@ class Divisor:
         return self.graph == other.graph and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((id(self.graph), tuple(sorted(self._coeffs.items()))))
+        # Equal graphs may be distinct objects, so the graph stays out of the
+        # hash; __eq__ tells divisors on different graphs apart.
+        return hash(tuple(sorted(self._coeffs.items())))
 
     def __repr__(self):
         if not self._coeffs:

@@ -148,13 +148,16 @@ def bn_instance(graph: MultiGraph, params: dict, seed: int) -> dict:
     for r in range(1, params["rmax"] + 1):
         d = brill_noether_threshold(g, r)
         witness = min_degree_grd(graph, r, d)
-        entry = {"r": r, "d_threshold": d, "found": witness is not None}
+        entry = {
+            "r": r,
+            "d_threshold": d,
+            "found": witness is not None,
+            "escalated_k": None,
+        }
         if witness is not None:
             entry["witness_degree"] = witness.degree
             entry["witness"] = witness.divisor.to_json_dict()
-            entry["escalated_k"] = None
         else:
-            entry["escalated_k"] = None
             for k in range(2, params.get("escalate_kmax", 3) + 1):
                 sub, _ = subdivide(graph, k)
                 w2 = min_degree_grd(sub, r, d)

@@ -3,8 +3,12 @@
 Ranks of rational divisors are computed by rescaling all lengths to
 integers, subdividing every edge into unit pieces so the divisor becomes
 vertex-supported, and handing the result to the combinatorial rank
-engine; an extra uniform subdivision re-checks at runtime that the value
-is model-independent. All arithmetic is exact rational; there is no
+engine. Graph rank on such a unit model equals metric rank
+(Hladky-Kral-Norine 2013), and the vertex set of the loopless model is
+rank-determining (Luo 2011), so the rank search subtracts chips only at
+the model vertices, not at every unit-model vertex. An extra uniform
+subdivision still re-checks at runtime that the value is
+model-independent. All arithmetic is exact rational; there is no
 floating point anywhere in this module.
 """
 
@@ -26,7 +30,7 @@ from .errors import (
 )
 from .graphs import MultiGraph, banana_graph, genus, _subdivision_label, subdivide_edges
 from .divisors import Divisor, canonical_divisor
-from .rank import rank
+from .rank import _Session, _rank_reduced
 
 
 @dataclass(frozen=True)
@@ -274,19 +278,30 @@ def _support_scale(qg: QGraph, d: QDivisor) -> int:
     return scale
 
 
+def _unit_model_rank(um: UnitModel, d: QDivisor) -> int:
+    # subdivide_edges lists the model vertices first, and MultiGraph rejects
+    # loop edges, so indices 0..m-1 are the vertex set of a loopless model,
+    # which is what Luo's rank-determining theorem requires.
+    sess = _Session(um.graph, range(len(um.qgraph.model.vertices)))
+    return _rank_reduced(sess, sess.reduced(tuple(um.divisor_to(d).to_vector())))
+
+
 def q_rank(qg: QGraph, d: QDivisor, audit: bool = True) -> int:
     """Rank of a rational divisor, via the coarsest unit model carrying its
     support on vertices.
 
-    With audit on (the default) the rank is recomputed on a uniform
+    The rank search branches only over the model vertices, a
+    rank-determining set (Luo 2011), instead of every unit-model vertex;
+    graph rank on the unit model equals metric rank (Hladky-Kral-Norine
+    2013). With audit on (the default) the rank is recomputed on a uniform
     refinement and must agree; disagreement raises SubdivisionAuditError.
     """
     scale = _support_scale(qg, d)
     um = _unit_model(qg, scale)
-    value = rank(um.graph, um.divisor_to(d))
+    value = _unit_model_rank(um, d)
     if audit:
         um2 = _unit_model(qg, 2 * scale)
-        value2 = rank(um2.graph, um2.divisor_to(d))
+        value2 = _unit_model_rank(um2, d)
         if value2 != value:
             raise SubdivisionAuditError(
                 f"rank {value} at scale {scale} but {value2} at scale {2 * scale}"

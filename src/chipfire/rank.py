@@ -2,7 +2,8 @@
 
 rank(D) is computed straight from its definition: search k = 0, 1, 2, ...
 and test, for every effective divisor E of degree k, that D - E is
-equivalent to an effective divisor. The per-E test goes through q-reduced
+equivalent to an effective divisor. A caller that knows a rank-determining
+set may restrict E to it. The per-E test goes through q-reduced
 representatives; results are memoized per call on the reduced form, so
 equivalent branches of the search are shared.
 
@@ -31,15 +32,23 @@ _EXHAUSTIVE_ORDERING_LIMIT = 8
 
 
 class _Session:
-    """Call-local memo for reductions and rank-bound queries on one graph."""
+    """Call-local memo for reductions and rank-bound queries on one graph.
+
+    The rank search subtracts chips only at the vertex indices in branch
+    (every vertex by default). A proper subset is sound only when it is
+    rank-determining: every effective E of degree k supported on it
+    leaving D - E winnable must imply rank(D) >= k.
+    """
 
     __slots__ = ("graph", "n", "far_order", "reduce_memo", "geq_memo")
 
-    def __init__(self, graph: MultiGraph):
+    def __init__(self, graph: MultiGraph, branch=None):
         self.graph = graph
         self.n = len(graph.vertices)
         dist = graph.distance_layers(0)[0]
-        self.far_order = sorted(range(self.n), key=lambda v: -dist[v])
+        if branch is None:
+            branch = range(self.n)
+        self.far_order = sorted(branch, key=lambda v: -dist[v])
         self.reduce_memo = {}
         self.geq_memo = {}
 

@@ -182,3 +182,32 @@ def test_exit_code_contract():
     assert finding.exit_code(strict=False) == 0
     assert finding.exit_code(strict=True) == 2
     assert error.exit_code(strict=False) == 1
+
+
+def test_replay_missing_file_is_input_error(tmp_path, capsys):
+    code, payload = run_json(capsys, "replay", str(tmp_path / "missing.jsonl"))
+    assert code == 1
+    assert payload["status"] == "error"
+    assert "missing.jsonl" in payload["error"]
+
+
+def test_qrank_malformed_entries_are_input_errors(capsys):
+    banana = "Q1 Q2 1;Q1 Q2 1;Q1 Q2 1"
+    for divisor in (
+        "[3]",
+        '[{"edge": 0, "offset": "1/2"}]',
+        '[{"coeff": 1}]',
+        '[{"edge": 0, "coeff": 1}]',
+        '[{"edge": [0], "offset": "1/2", "coeff": 1}]',
+        '[{"vertex": "Q1", "coeff": null}]',
+    ):
+        code, payload = run_json(capsys, "qrank", banana, divisor)
+        assert code == 1, divisor
+        assert payload["status"] == "error", divisor
+        assert "entry" in payload["error"], divisor
+
+
+def test_rank_non_integer_coefficient_is_input_error(capsys):
+    code, payload = run_json(capsys, "rank", "banana(3)", '{"Q1": null}')
+    assert code == 1
+    assert payload["status"] == "error"

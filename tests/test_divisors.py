@@ -32,6 +32,16 @@ def test_divisor_basics():
     assert (2 * d)["Q2"] == -2
 
 
+def test_divisor_hash_agrees_with_eq_across_equal_graphs():
+    """Divisors that compare equal hash equal, even on distinct but equal
+    graph objects."""
+    a = cf.Divisor(cf.banana_graph(3), {"Q1": 1})
+    b = cf.Divisor(cf.banana_graph(3), {"Q1": 1})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_divisor_rejects_unknown_vertex():
     g = cf.banana_graph(3)
     with pytest.raises(UnboundVertexError):

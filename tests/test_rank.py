@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
+from chipfire.rank import _Session, _rank_reduced
 
-from oracles import rank_oracle
+from oracles import all_small_multigraphs, rank_oracle
 
 from test_divisors import random_divisor, random_function
 
@@ -101,6 +102,65 @@ def test_clifford_degree_two(seed):
     d = cf.Divisor(g, {g.vertices[i]: 1}) + cf.Divisor(g, {g.vertices[j]: 1})
     r = cf.rank(g, d)
     assert r <= 1
+
+
+# -- branching over a rank-determining set -------------------------------------
+
+
+def _model_branched_rank(sub, model, vec):
+    """Rank on a subdivision of model, subtracting chips only at the model
+    vertices (which subdivide_edges lists first)."""
+    sess = _Session(sub, range(len(model.vertices)))
+    return _rank_reduced(sess, sess.reduced(tuple(vec)))
+
+
+def _small_vectors(n):
+    """Coefficient vectors with entries in {-1, 0, 1, 2}, at most three chips
+    in absolute value, and degree in [-1, 2]."""
+    for size in range(4):
+        for support in itertools.combinations(range(n), size):
+            for coeffs in itertools.product((-1, 1, 2), repeat=size):
+                if sum(map(abs, coeffs)) > 3 or not -1 <= sum(coeffs) <= 2:
+                    continue
+                vec = [0] * n
+                for i, c in zip(support, coeffs):
+                    vec[i] = c
+                yield vec
+
+
+def test_model_vertex_branching_exhaustive_small():
+    """The vertex set of a loopless model is rank-determining (Luo 2011), so
+    on every subdivision the branched search agrees with the full one, for
+    divisors supported anywhere, including on subdivision vertices."""
+    checked = 0
+    for g in all_small_multigraphs(max_vertices=3, max_edges=3):
+        for counts in itertools.product((1, 2, 3), repeat=len(g.edges)):
+            sub, _ = cf.subdivide_edges(g, counts)
+            for vec in _small_vectors(len(sub.vertices)):
+                expected = cf.rank(sub, cf.Divisor.from_vector(sub, vec))
+                assert _model_branched_rank(sub, g, vec) == expected, (g, counts, vec)
+                if len(sub.vertices) <= 4:
+                    assert rank_oracle(sub, vec) == expected, (g, counts, vec)
+                checked += 1
+    assert checked > 30000
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6))
+def test_model_vertex_branching_larger_subdivisions(seed):
+    """Degrees up to 2g, so mostly where degree alone does not force the
+    rank, with chips placed anywhere on the subdivision."""
+    rng = random.Random(seed)
+    g = cf.random_multigraph(2 + seed % 4, 1 + seed % 4, seed=seed)
+    counts = [rng.randint(1, 4) for _ in g.edges]
+    sub, _ = cf.subdivide_edges(g, counts)
+    n = len(sub.vertices)
+    vec = [0] * n
+    for _ in range(rng.randint(0, 2 * cf.genus(g))):
+        vec[rng.randrange(n)] += 1
+    vec[rng.randrange(n)] -= rng.randint(0, 1)
+    expected = cf.rank(sub, cf.Divisor.from_vector(sub, vec))
+    assert _model_branched_rank(sub, g, vec) == expected
 
 
 # -- ordering divisors --------------------------------------------------------
