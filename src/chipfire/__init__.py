@@ -8,7 +8,6 @@ conjecture sweeps. All arithmetic is exact.
 __version__ = "0.1.0"
 
 from .errors import (
-    CertificateSearchExhausted,
     ChipfireError,
     DiscontinuityError,
     DisconnectedError,
@@ -81,7 +80,6 @@ from .jacobian import (
     spanning_tree_count,
 )
 from .metric import (
-    MetricRRReport,
     PLFunction,
     ProbeRecord,
     ProbeReport,

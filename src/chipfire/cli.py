@@ -88,6 +88,13 @@ def _load_qgraph(arg: str):
     return parse_qgraph(text)
 
 
+def _json_int(value, what):
+    """A JSON integer as is; true, 1.5, 2.0, "3" and null are rejected, not coerced."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _load_divisor(graph, arg: str) -> Divisor:
     text = _read_arg(arg)
     try:
@@ -98,11 +105,9 @@ def _load_divisor(graph, arg: str) -> Divisor:
         ) from exc
     if not isinstance(data, dict):
         raise InputError("divisor JSON must be an object of label: integer")
-    try:
-        coeffs = {k: int(v) for k, v in data.items()}
-    except TypeError as exc:
-        raise InputError(f"divisor coefficients must be integers: {exc}") from exc
-    return Divisor(graph, coeffs)
+    return Divisor(
+        graph, {k: _json_int(v, f"coefficient of {k!r}") for k, v in data.items()}
+    )
 
 
 def _load_qdivisor(qgraph, arg: str) -> QDivisor:
@@ -128,11 +133,12 @@ def _load_qdivisor(qgraph, arg: str) -> QDivisor:
                 f' either "vertex" or "edge" and "offset"; got {entry!r}'
             )
         try:
-            coeff = int(entry["coeff"])
+            coeff = _json_int(entry["coeff"], f"coeff in entry {entry!r}")
             if "vertex" in entry:
                 point = qgraph.vertex_point(entry["vertex"])
             else:
-                point = qgraph.point(int(entry["edge"]), Fraction(str(entry["offset"])))
+                edge = _json_int(entry["edge"], f"edge in entry {entry!r}")
+                point = qgraph.point(edge, Fraction(str(entry["offset"])))
         except TypeError as exc:
             raise InputError(f"bad metric divisor entry {entry!r}: {exc}") from exc
         coeffs[point] = coeffs.get(point, 0) + coeff
@@ -314,6 +320,13 @@ def _cmd_specialize(args) -> CommandResult:
 
 
 def _cmd_sweep(args) -> CommandResult:
+    if args.out is not None:
+        # Fail before the sweep runs, not after, when records cannot be written.
+        try:
+            with open(args.out, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out!r}: {exc}") from exc
     kwargs = {"seed": args.seed, "out": args.out}
     if args.kind == "bn":
         result = bn_existence_sweep(

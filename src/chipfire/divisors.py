@@ -2,13 +2,18 @@
 
 A divisor is an integer vector indexed by the vertices of a fixed graph;
 linear equivalence is difference by a Laplacian image. Equality of classes
-is decided through the unique q-reduced representative, computed by
-distance-layer debt settling followed by iterated Dhar burning.
+is decided through the unique q-reduced representative: distance-layer debt
+settling; then, only when more than sum(deg) = 2|E| chips sit away from q,
+firing the rounded-down exact solution of the reduced-Laplacian system
+(Baker-Shokrieh 2013, adjugate cached per graph and root) and settling
+again; then iterated Dhar burning. Rounding leaves every coefficient away
+from q strictly between -deg(v) and deg(v), so large-debt inputs skip the
+thousands of burning passes that would each move chips one step.
 """
 
 from __future__ import annotations
 
-from .errors import MissingVertexError, UnboundVertexError
+from .errors import DivisorError, MissingVertexError, UnboundVertexError
 from .graphs import MultiGraph
 
 
@@ -28,7 +33,10 @@ class Divisor:
             for label, value in coeffs.items():
                 if not graph.has_vertex(label):
                     raise UnboundVertexError(f"vertex {label!r} not in graph")
-                value = int(value)
+                if type(value) is not int:  # bool, float, str, ... are never coerced
+                    raise DivisorError(
+                        f"coefficient of {label!r} must be an int, got {value!r}"
+                    )
                 if value != 0:
                     clean[label] = value
         object.__setattr__(self, "_coeffs", clean)
@@ -76,7 +84,9 @@ class Divisor:
         return Divisor(self.graph, {v: -c for v, c in self._coeffs.items()})
 
     def __rmul__(self, k):
-        return Divisor(self.graph, {v: int(k) * c for v, c in self._coeffs.items()})
+        if type(k) is not int:
+            return NotImplemented
+        return Divisor(self.graph, {v: k * c for v, c in self._coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Divisor):
@@ -193,12 +203,38 @@ def _dhar_unburnt(adj, vec, q, n):
     return unburnt, threat
 
 
+def _fire_floor_potential(g: MultiGraph, vec, q):
+    """Set vec to D - L x for x = floor(L_q^-1 D_q) and x(q) = 0, i.e. fire
+    each vertex v != q x(v) times (Baker-Shokrieh 2013).
+
+    With y the exact solution of L_q y = D_q, the coefficients away from q
+    become L_q (y - x) with y - x in [0, 1) everywhere, so each lies strictly
+    between -deg(v) and deg(v). x is computed in integers as
+    floor(adj(L_q) D_q / det L_q).
+    """
+    det, adjugate = g.reduced_adjugate(q)
+    dq = vec[:q] + vec[q + 1:]
+    adj = g.adjacency()
+    for k, row in enumerate(adjugate):
+        x = sum(a * b for a, b in zip(row, dq)) // det
+        if x:
+            i = k if k < q else k + 1
+            for j, mult in adj[i]:
+                vec[i] -= x * mult
+                vec[j] += x * mult
+
+
 def reduce_vector(g: MultiGraph, vec, q=0):
     """q-reduce a dense coefficient list in place and return it."""
     n = len(g.vertices)
     if n == 1:
         return vec
     _settle_debts(g, vec, q)
+    # Rounding leaves fewer than sum(deg) = 2|E| chips away from q; below
+    # that, burning alone has only a bounded amount of work left.
+    if sum(vec) - vec[q] > 2 * len(g.edges):
+        _fire_floor_potential(g, vec, q)
+        _settle_debts(g, vec, q)
     adj = g.adjacency()
     while True:
         unburnt, threat = _dhar_unburnt(adj, vec, q, n)

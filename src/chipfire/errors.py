@@ -47,14 +47,6 @@ class NonzeroDegreeError(DivisorError):
     """An operation requiring a degree-zero divisor got something else."""
 
 
-class CertificateSearchExhausted(ChipfireError):
-    """No ordering certificate was found within the configured bounds.
-
-    The dichotomy theorem guarantees one exists, so seeing this error
-    signals a bug in the engine rather than a property of the input.
-    """
-
-
 class MetricError(ChipfireError):
     """Invalid metric-graph input."""
 

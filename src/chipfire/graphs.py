@@ -33,6 +33,7 @@ class MultiGraph:
         "_adj",
         "_degrees",
         "_layers",
+        "_adjugates",
         "_mult",
         "_snf_cache",
     )
@@ -56,6 +57,7 @@ class MultiGraph:
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_degrees", None)
         object.__setattr__(self, "_layers", {})
+        object.__setattr__(self, "_adjugates", {})
         object.__setattr__(self, "_mult", None)
         object.__setattr__(self, "_snf_cache", None)
         self._check_connected()
@@ -172,6 +174,53 @@ class MultiGraph:
                     layers[d].append(i)
             self._layers[root] = (tuple(dist), tuple(tuple(l) for l in layers))
         return self._layers[root]
+
+    def reduced_adjugate(self, root=0):
+        """(det L_q, adj L_q) for the Laplacian with the row and column of the
+        given vertex index deleted; adj rows and columns follow canonical
+        vertex order with the root skipped.
+
+        Fraction-free Gauss-Jordan elimination (Bareiss) of [L_q | I]: every
+        entry stays an integer minor, and after the last step the left block
+        is det * I and the right block is the adjugate. L_q is positive
+        definite, so every pivot is a positive leading minor and no row
+        swaps are needed.
+        """
+        if root not in self._adjugates:
+            n = len(self.vertices)
+            keep = [i for i in range(n) if i != root]
+            pos = {i: k for k, i in enumerate(keep)}
+            m = len(keep)
+            degs = self.degrees()
+            adj = self.adjacency()
+            rows = []
+            for k, i in enumerate(keep):
+                row = [0] * (2 * m)
+                row[k] = degs[i]
+                for j, mult in adj[i]:
+                    if j != root:
+                        row[pos[j]] = -mult
+                rows.append(row)
+            prev = 1
+            for k in range(m):
+                # Before step k, the columns left of k and right of m + k
+                # hold only diagonal entries, each equal to the current
+                # leading minor prev; only the columns in between change.
+                pivot_row = rows[k]
+                pivot_row[m + k] = prev
+                p = pivot_row[k]
+                span = pivot_row[k + 1:m + k + 1]
+                for i in range(m):
+                    if i != k:
+                        row = rows[i]
+                        a = row[k]
+                        row[k + 1:m + k + 1] = [
+                            (p * x - a * y) // prev
+                            for x, y in zip(row[k + 1:m + k + 1], span)
+                        ]
+                prev = p
+            self._adjugates[root] = (prev, tuple(tuple(row[m:]) for row in rows))
+        return self._adjugates[root]
 
 
 def genus(g: MultiGraph) -> int:

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import (
     DiscontinuityError,
+    DivisorError,
     EdgeListSyntaxError,
     EmptyGraphError,
     MetricError,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .graphs import MultiGraph, banana_graph, genus, _subdivision_label, subdivide_edges
 from .divisors import Divisor, canonical_divisor
-from .rank import _Session, _rank_reduced
+from .rank import RiemannRochReport, _Session, _rank_reduced
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,10 @@ class QDivisor:
         clean = {}
         if coeffs:
             for point, value in coeffs.items():
-                value = int(value)
+                if type(value) is not int:  # bool, float, str, ... are never coerced
+                    raise DivisorError(
+                        f"coefficient of {point!r} must be an int, got {value!r}"
+                    )
                 if value == 0:
                     continue
                 if point.vertex is not None:
@@ -176,7 +180,9 @@ class QDivisor:
         return QDivisor(self.qgraph, {p: -c for p, c in self._coeffs.items()})
 
     def __rmul__(self, k):
-        return QDivisor(self.qgraph, {p: int(k) * c for p, c in self._coeffs.items()})
+        if type(k) is not int:
+            return NotImplemented
+        return QDivisor(self.qgraph, {p: k * c for p, c in self._coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, QDivisor):
@@ -403,18 +409,7 @@ def divisor_of_function(qg: QGraph, f: PLFunction) -> QDivisor:
 # -- Riemann-Roch on metric graphs ------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricRRReport:
-    degree: int
-    genus: int
-    rank: int
-    canonical_minus_rank: int
-    lhs: int
-    rhs: int
-    equal: bool
-
-
-def metric_rr_check(qg: QGraph, d: QDivisor, audit: bool = True) -> MetricRRReport:
+def metric_rr_check(qg: QGraph, d: QDivisor, audit: bool = True) -> RiemannRochReport:
     """Both sides of the metric Riemann-Roch identity, each via q_rank."""
     k = canonical_qdivisor(qg)
     r_d = q_rank(qg, d, audit=audit)
@@ -422,7 +417,7 @@ def metric_rr_check(qg: QGraph, d: QDivisor, audit: bool = True) -> MetricRRRepo
     gg = qg.genus
     lhs = r_d - r_kd
     rhs = d.degree + 1 - gg
-    return MetricRRReport(
+    return RiemannRochReport(
         degree=d.degree,
         genus=gg,
         rank=r_d,

@@ -15,10 +15,8 @@ dominates it, which is exactly what the dichotomy between "winnable" and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import CertificateSearchExhausted
 from .graphs import MultiGraph, genus
 from .divisors import (
     Divisor,
@@ -27,8 +25,6 @@ from .divisors import (
     is_winnable,
     reduce_vector,
 )
-
-_EXHAUSTIVE_ORDERING_LIMIT = 8
 
 
 class _Session:
@@ -208,21 +204,18 @@ def nu_divisor(g: MultiGraph, ordering) -> Divisor:
     return Divisor(g, coeffs)
 
 
-def _ordering_certificate(sess, g, d_vec_reduced, d: Divisor):
-    """Find an ordering whose nu dominates d, burn order first, then brute force."""
+def _ordering_certificate(g, d_vec_reduced, d: Divisor):
+    """The burn order of the q-reduced form of d and its nu, which dominates d.
+
+    Every vertex after q burns with fewer chips than edges to earlier
+    vertices, so nu >= D there; at q, nu(q) = -1 >= D(q) when D has rank -1.
+    """
     order_idx = burn_order(g, list(d_vec_reduced), 0)
     ordering = tuple(g.vertices[i] for i in order_idx)
     nu = nu_divisor(g, ordering)
-    if is_winnable(g, nu - d):
-        return ordering, nu
-    if len(g.vertices) <= _EXHAUSTIVE_ORDERING_LIMIT:
-        for perm in itertools.permutations(g.vertices):
-            nu = nu_divisor(g, perm)
-            if is_winnable(g, nu - d):
-                return perm, nu
-    raise CertificateSearchExhausted(
-        "no ordering divisor dominating the input was found"
-    )
+    if not is_winnable(g, nu - d):
+        raise AssertionError("burn-order nu does not dominate; engine is broken")
+    return ordering, nu
 
 
 def rank_with_certificate(g: MultiGraph, d: Divisor) -> RankResult:
@@ -231,7 +224,7 @@ def rank_with_certificate(g: MultiGraph, d: Divisor) -> RankResult:
     red = sess.reduced(tuple(d.to_vector()))
     value = _rank_reduced(sess, red)
     if value == -1:
-        ordering, nu = _ordering_certificate(sess, g, red, d)
+        ordering, nu = _ordering_certificate(g, red, d)
         return RankResult(
             rank=-1,
             effective_witness=None,

@@ -200,6 +200,10 @@ def test_qrank_malformed_entries_are_input_errors(capsys):
         '[{"edge": 0, "coeff": 1}]',
         '[{"edge": [0], "offset": "1/2", "coeff": 1}]',
         '[{"vertex": "Q1", "coeff": null}]',
+        '[{"vertex": "Q1", "coeff": true}]',
+        '[{"vertex": "Q1", "coeff": 1.5}]',
+        '[{"edge": 0, "offset": "1/2", "coeff": "x"}]',
+        '[{"edge": true, "offset": "1/2", "coeff": 1}]',
     ):
         code, payload = run_json(capsys, "qrank", banana, divisor)
         assert code == 1, divisor
@@ -208,6 +212,23 @@ def test_qrank_malformed_entries_are_input_errors(capsys):
 
 
 def test_rank_non_integer_coefficient_is_input_error(capsys):
-    code, payload = run_json(capsys, "rank", "banana(3)", '{"Q1": null}')
+    for divisor in (
+        '{"Q1": null}',
+        '{"Q1": 1.5, "Q2": true}',
+        '{"Q1": true}',
+        '{"Q1": 2.0}',
+        '{"Q1": "one"}',
+    ):
+        code, payload = run_json(capsys, "rank", "banana(3)", divisor)
+        assert code == 1, divisor
+        assert payload["status"] == "error", divisor
+
+
+def test_sweep_out_into_missing_directory_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.jsonl"
+    code, payload = run_json(
+        capsys, "sweep", "gonality", "--gmax", "2", "--seeds", "1", "--out", str(out)
+    )
     assert code == 1
     assert payload["status"] == "error"
+    assert "x.jsonl" in payload["error"]

@@ -1,14 +1,21 @@
 """Divisor arithmetic, the Laplacian, and q-reduction."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
-from chipfire import MissingVertexError, UnboundVertexError
+from chipfire import DivisorError, MissingVertexError, UnboundVertexError, divisors
 
-from oracles import equivalent_oracle
+from oracles import (
+    all_small_multigraphs,
+    equivalent_oracle,
+    reduced_laplacian_matrix,
+    solve_exact,
+    spanning_tree_oracle,
+)
 
 
 def random_divisor(g, rng, low=-3, high=3):
@@ -46,6 +53,23 @@ def test_divisor_rejects_unknown_vertex():
     g = cf.banana_graph(3)
     with pytest.raises(UnboundVertexError):
         cf.Divisor(g, {"nope": 1})
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, 2.0, "1", "one", None])
+def test_divisor_rejects_non_int_coefficients(value):
+    g = cf.banana_graph(3)
+    with pytest.raises(DivisorError):
+        cf.Divisor(g, {"Q1": value})
+    if value:  # from_vector skips falsy entries, as it skips zeros
+        with pytest.raises(DivisorError):
+            cf.Divisor.from_vector(g, [value, 1])
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "1", None])
+def test_qdivisor_rejects_non_int_coefficients(value):
+    qg = cf.QGraph.unit(cf.banana_graph(3))
+    with pytest.raises(DivisorError):
+        cf.QDivisor(qg, {qg.vertex_point("Q1"): value})
 
 
 def test_laplacian_banana_indicator():
@@ -196,6 +220,66 @@ def test_reduce_multifire_matches_single_fire():
         fast = list(vec)
         reduce_vector(g, fast, 0)
         assert fast == single_fire(g, list(vec))
+
+
+def test_reduced_adjugate_identity():
+    """L_q * adj(L_q) = det(L_q) * I at every root, with det(L_q) the
+    spanning-tree count (matrix-tree theorem)."""
+    graphs = list(all_small_multigraphs(4, 5))
+    graphs += [cf.random_multigraph(n, n % 4, seed=n) for n in range(5, 9)]
+    for g in graphs:
+        trees = spanning_tree_oracle(g)
+        for q in range(len(g.vertices)):
+            det, adj = g.reduced_adjugate(q)
+            lap = cf.reduced_laplacian(g, g.vertices[q])
+            m = len(lap)
+            assert det == trees
+            for i in range(m):
+                for j in range(m):
+                    entry = sum(lap[i][k] * adj[k][j] for k in range(m))
+                    assert entry == (det if i == j else 0)
+
+
+def test_rounding_step_differential():
+    """reduce_vector against the oracles on both sides of the 2|E| threshold
+    of its rounding step, and the step itself: it fires an integer vector,
+    and what it leaves away from q is L_q f with 0 <= f < 1."""
+    rounded = []
+    skipped = []
+    real_step = divisors._fire_floor_potential
+
+    def checked_step(g, vec, q):
+        before = list(vec)
+        real_step(g, vec, q)
+        assert q == 0  # the oracle matrix drops index 0
+        f = solve_exact(reduced_laplacian_matrix(g), vec[1:])
+        assert all(0 <= x < 1 for x in f), f
+        assert equivalent_oracle(g, before, vec)
+        rounded.append(g)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 10**6))
+    def check(seed):
+        rng = random.Random(seed)
+        n = rng.randint(5, 15)
+        g = cf.random_multigraph(n, rng.randint(0, n), seed=seed)
+        amplitude = rng.randint(0, 20)
+        f = {v: rng.randint(-amplitude, amplitude) for v in g.vertices}
+        vec = cf.laplacian_apply(g, f).to_vector()
+        for _ in range(rng.randint(0, 3)):
+            src, dst = rng.sample(range(n), 2)
+            vec[src] -= 1
+            vec[dst] += 1
+        calls = len(rounded)
+        out = divisors.reduce_vector(g, list(vec), 0)
+        if len(rounded) == calls:
+            skipped.append(seed)
+        assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[0])
+        assert equivalent_oracle(g, vec, out)
+
+    with mock.patch.object(divisors, "_fire_floor_potential", checked_step):
+        check()
+    assert rounded and skipped
 
 
 def test_canonical_divisor_quartic():
