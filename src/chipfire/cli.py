@@ -149,12 +149,6 @@ def _divisor_json(d: Divisor) -> dict:
     return d.to_json_dict()
 
 
-def _qpoint_json(p) -> dict:
-    if p.vertex is not None:
-        return {"vertex": p.vertex}
-    return {"edge": p.edge, "offset": str(p.offset)}
-
-
 # -- commands ------------------------------------------------------------
 
 
@@ -291,7 +285,12 @@ def _cmd_rrcheck(args) -> CommandResult:
 
 
 def _cmd_specialize(args) -> CommandResult:
-    fixture = load_fixture(args.fixture)
+    try:
+        fixture = load_fixture(args.fixture)
+    except OSError as exc:
+        raise InputError(f"cannot read {args.fixture!r}: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"fixture has no {exc.args[0]!r} entry") from exc
     g = fixture.graph
     k = canonical_divisor(g)
     rows = []

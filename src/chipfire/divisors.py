@@ -17,43 +17,45 @@ from .errors import DivisorError, MissingVertexError, UnboundVertexError
 from .graphs import MultiGraph
 
 
-class Divisor:
-    """Sparse integer vector on the vertices of a bound MultiGraph.
+class _DivisorCore:
+    """Immutable integer combination of the points of one carrier: the
+    vertices of a MultiGraph (Divisor) or the rational points of a QGraph
+    (QDivisor).
 
-    Coefficients are arbitrary-precision; absent vertices are zero.
-    Instances are immutable and support +, -, and integer scaling.
+    Coefficients are arbitrary-precision ints; absent points are zero.
+    Subclasses validate and canonicalize points in _point and list them in
+    canonical order in items(); everything else, +, -, negation and
+    integer scaling included, is shared.
     """
 
-    __slots__ = ("graph", "_coeffs")
+    __slots__ = ("_carrier", "_coeffs")
 
-    def __init__(self, graph: MultiGraph, coeffs=None):
-        object.__setattr__(self, "graph", graph)
+    def __init__(self, carrier, coeffs=None):
+        object.__setattr__(self, "_carrier", carrier)
         clean = {}
         if coeffs:
-            for label, value in coeffs.items():
-                if not graph.has_vertex(label):
-                    raise UnboundVertexError(f"vertex {label!r} not in graph")
+            canonical = self._point
+            for point, value in coeffs.items():
+                point = canonical(carrier, point)
                 if type(value) is not int:  # bool, float, str, ... are never coerced
                     raise DivisorError(
-                        f"coefficient of {label!r} must be an int, got {value!r}"
+                        f"coefficient of {point!r} must be an int, got {value!r}"
                     )
-                if value != 0:
-                    clean[label] = value
+                if value:
+                    # Two inputs may name one point (a QPoint at an edge end
+                    # is that vertex), so coefficients add up and may cancel.
+                    value += clean.get(point, 0)
+                    if value:
+                        clean[point] = value
+                    else:
+                        del clean[point]
         object.__setattr__(self, "_coeffs", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __getitem__(self, label):
-        if not self.graph.has_vertex(label):
-            raise UnboundVertexError(f"vertex {label!r} not in graph")
-        return self._coeffs.get(label, 0)
-
-    def items(self):
-        """Nonzero (label, coefficient) pairs in canonical vertex order."""
-        return [
-            (v, self._coeffs[v]) for v in self.graph.vertices if v in self._coeffs
-        ]
+    def __getitem__(self, point):
+        return self._coeffs.get(self._point(self._carrier, point), 0)
 
     @property
     def degree(self) -> int:
@@ -62,54 +64,74 @@ class Divisor:
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self._coeffs.values())
 
-    def _same_graph(self, other):
-        if self.graph is not other.graph and self.graph != other.graph:
+    def _combine(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._carrier is not other._carrier and self._carrier != other._carrier:
             raise UnboundVertexError("divisors bound to different graphs")
+        coeffs = dict(self._coeffs)
+        for p, c in other._coeffs.items():
+            coeffs[p] = coeffs.get(p, 0) + sign * c
+        return type(self)(self._carrier, coeffs)
 
     def __add__(self, other):
-        self._same_graph(other)
-        coeffs = dict(self._coeffs)
-        for v, c in other._coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + c
-        return Divisor(self.graph, coeffs)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._same_graph(other)
-        coeffs = dict(self._coeffs)
-        for v, c in other._coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) - c
-        return Divisor(self.graph, coeffs)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Divisor(self.graph, {v: -c for v, c in self._coeffs.items()})
+        return type(self)(self._carrier, {p: -c for p, c in self._coeffs.items()})
 
     def __rmul__(self, k):
         if type(k) is not int:
             return NotImplemented
-        return Divisor(self.graph, {v: k * c for v, c in self._coeffs.items()})
+        return type(self)(self._carrier, {p: k * c for p, c in self._coeffs.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, Divisor):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.graph == other.graph and self._coeffs == other._coeffs
+        return self._carrier == other._carrier and self._coeffs == other._coeffs
 
     def __hash__(self):
-        # Equal graphs may be distinct objects, so the graph stays out of the
-        # hash; __eq__ tells divisors on different graphs apart.
-        return hash(tuple(sorted(self._coeffs.items())))
+        # Equal carriers may be distinct objects, so the carrier stays out of
+        # the hash; __eq__ tells divisors on different carriers apart.
+        return hash(frozenset(self._coeffs.items()))
 
     def __repr__(self):
+        name = type(self).__name__
         if not self._coeffs:
-            return "Divisor(0)"
-        parts = [f"{c}({v})" for v, c in self.items()]
-        return "Divisor(" + " + ".join(parts) + ")"
+            return f"{name}(0)"
+        return f"{name}(" + " + ".join(f"{c}({p})" for p, c in self.items()) + ")"
+
+
+class Divisor(_DivisorCore):
+    """Sparse integer vector on the vertices of a bound MultiGraph."""
+
+    __slots__ = ()
+
+    @property
+    def graph(self) -> MultiGraph:
+        return self._carrier
+
+    @staticmethod
+    def _point(graph, label):
+        if not graph.has_vertex(label):
+            raise UnboundVertexError(f"vertex {label!r} not in graph")
+        return label
+
+    def items(self):
+        """Nonzero (label, coefficient) pairs in canonical vertex order."""
+        return [
+            (v, self._coeffs[v]) for v in self._carrier.vertices if v in self._coeffs
+        ]
 
     def to_json_dict(self):
         return dict(self.items())
 
     def to_vector(self):
         """Dense coefficient list in canonical vertex order."""
-        return [self._coeffs.get(v, 0) for v in self.graph.vertices]
+        return [self._coeffs.get(v, 0) for v in self._carrier.vertices]
 
     @classmethod
     def from_vector(cls, graph, vec):

@@ -194,9 +194,10 @@ def subdivision_instance(graph: MultiGraph, params: dict, seed: int) -> dict:
     g = genus(graph)
     d = _random_divisor(graph, rng)
     base_rank = rank(graph, d)
+    # One subdivided graph per k serves the rank check and the g^r_d audit.
+    subdivided = {k: subdivide(graph, k) for k in range(2, params["kmax"] + 1)}
     ranks = {}
-    for k in range(2, params["kmax"] + 1):
-        sub, vmap = subdivide(graph, k)
+    for k, (sub, vmap) in subdivided.items():
         transported = Divisor(sub, {vmap[v]: c for v, c in d.items()})
         ranks[str(k)] = rank(sub, transported)
     theorem_ok = all(v == base_rank for v in ranks.values())
@@ -215,8 +216,7 @@ def subdivision_instance(graph: MultiGraph, params: dict, seed: int) -> dict:
             if base is None:
                 raise AssertionError("degree g+r always carries rank r; bug")
             entry = {"base": base.degree, "subdivided": {}}
-            for k in range(2, params["kmax"] + 1):
-                sub, vmap = subdivide(graph, k)
+            for k, (sub, vmap) in subdivided.items():
                 # The transported base witness must keep its rank, which
                 # settles existence at the base degree; existence at a given
                 # degree is monotone in the degree, so one check just below

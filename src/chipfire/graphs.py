@@ -7,7 +7,9 @@ repetition in the edge list, never by weights.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
+from fractions import Fraction
 
 from .errors import (
     DisconnectedError,
@@ -231,17 +233,25 @@ def genus(g: MultiGraph) -> int:
 # -- edge-list text format ------------------------------------------------
 
 
-def parse_graph(text: str) -> MultiGraph:
-    """Parse edge-list text: one edge per line, two whitespace-separated labels.
+_UNIT_LENGTH = Fraction(1)
 
-    Blank lines and lines starting with '#' are ignored, except that a
-    "# vertices: ..." header (as written by the serializer) pins the
-    canonical vertex order; otherwise first appearance decides it.
-    Parallel edges are given by repetition.
+
+def _parse_edge_list(text: str, with_lengths: bool):
+    """The line parser behind parse_graph and metric.parse_qgraph.
+
+    Returns (vertices, edges, lengths). Blank lines and lines starting with
+    '#' are ignored, except that a "# vertices: ..." header (as written by
+    both serializers) pins the canonical vertex order; otherwise first
+    appearance decides it. With with_lengths, a line may carry a third
+    column: a rational length (default 1), or "inf" for an unbounded end,
+    which is dropped with a warning.
     """
     vertices = []
     seen = set()
     edges = []
+    lengths = []
+    unbounded = 0
+    columns = (2, 3) if with_lengths else (2,)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("# vertices:"):
@@ -256,11 +266,23 @@ def parse_graph(text: str) -> MultiGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
+        if len(parts) not in columns:
+            shape = "'u v [length]'" if with_lengths else "two labels"
             raise EdgeListSyntaxError(
-                f"expected two labels, got {len(parts)}: {line!r}", line=lineno
+                f"expected {shape}, got {len(parts)} fields: {line!r}", line=lineno
             )
-        u, v = parts
+        u, v = parts[0], parts[1]
+        length = _UNIT_LENGTH
+        if len(parts) == 3:
+            if parts[2].lower() in ("inf", "infinity"):
+                unbounded += 1
+                continue
+            try:
+                length = Fraction(parts[2])
+            except (ValueError, ZeroDivisionError):
+                raise EdgeListSyntaxError(
+                    f"bad length {parts[2]!r}", line=lineno
+                ) from None
         if u == v:
             raise LoopEdgeError(f"loop edge at {u!r} (line {lineno})")
         for w in (u, v):
@@ -268,8 +290,26 @@ def parse_graph(text: str) -> MultiGraph:
                 seen.add(w)
                 vertices.append(w)
         edges.append((u, v))
+        lengths.append(length)
+    if unbounded:
+        warnings.warn(
+            f"stripped {unbounded} unbounded edge(s); ranks are unchanged",
+            stacklevel=3,
+        )
     if not vertices:
-        raise EmptyGraphError("no edges or vertices in input")
+        raise EmptyGraphError("no bounded edges or vertices in input")
+    return vertices, edges, lengths
+
+
+def parse_graph(text: str) -> MultiGraph:
+    """Parse edge-list text: one edge per line, two whitespace-separated labels.
+
+    Blank lines and lines starting with '#' are ignored, except that a
+    "# vertices: ..." header (as written by the serializer) pins the
+    canonical vertex order; otherwise first appearance decides it.
+    Parallel edges are given by repetition.
+    """
+    vertices, edges, _ = _parse_edge_list(text, with_lengths=False)
     return MultiGraph(vertices, edges)
 
 

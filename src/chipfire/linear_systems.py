@@ -30,7 +30,9 @@ def superstable_configs(g: MultiGraph, max_size=None):
 
     A configuration is superstable when burning from the base vertex
     consumes the whole graph. Subconfigurations of superstable ones are
-    superstable, so a failed extension cuts its branch.
+    superstable, so a failed extension cuts its branch. Configurations come
+    in lexicographic order of their entries, found by a loop rather than by
+    recursion, so the vertex count is not bounded by the recursion limit.
     """
     n = len(g.vertices)
     adj = g.adjacency()
@@ -38,22 +40,24 @@ def superstable_configs(g: MultiGraph, max_size=None):
     if max_size is None:
         max_size = sum(degs[i] - 1 for i in range(1, n))
     vec = [0] * n
-
-    def extend(pos, remaining):
-        if pos == n:
-            yield tuple(vec)
-            return
-        yield from extend(pos + 1, remaining)  # zero needs no new check
-        cap = min(degs[pos] - 1, remaining)
-        for val in range(1, cap + 1):
-            vec[pos] = val
+    total = 0
+    yield tuple(vec)
+    pos = n - 1
+    while pos:
+        # Raise the last entry that can still grow; every entry after it is
+        # zero, and zero needs no new check.
+        if vec[pos] < degs[pos] - 1 and total < max_size:
+            vec[pos] += 1
             unburnt, _ = _dhar_unburnt(adj, vec, 0, n)
-            if unburnt:
-                break  # larger values fail too
-            yield from extend(pos + 1, remaining - val)
+            if not unburnt:
+                total += 1
+                yield tuple(vec)
+                pos = n - 1
+                continue
+            vec[pos] -= 1  # larger values fail too
+        total -= vec[pos]
         vec[pos] = 0
-
-    yield from extend(1, max_size)
+        pos -= 1
 
 
 def _witness_at_degree(sess, g, r, d):

@@ -1,4 +1,9 @@
-"""Metric graphs with rational edge lengths.
+"""Metric graphs with rational edge lengths, on top of the graph layer.
+
+A QGraph is a MultiGraph model plus one positive rational length per
+edge; its edge-list text is the graph format with a length column, read
+by the same parser. QDivisor shares Divisor's arithmetic core and differs
+only in its points: model vertices or rational positions on edges.
 
 Ranks of rational divisors are computed by rescaling all lengths to
 integers, subdividing every edge into unit pieces so the divisor becomes
@@ -15,23 +20,26 @@ floating point anywhere in this module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     DiscontinuityError,
-    DivisorError,
-    EdgeListSyntaxError,
-    EmptyGraphError,
     MetricError,
     NonIntegerSlopeError,
     SubdivisionAuditError,
     UnrepresentablePointError,
 )
-from .graphs import MultiGraph, banana_graph, genus, _subdivision_label, subdivide_edges
-from .divisors import Divisor, canonical_divisor
-from .rank import RiemannRochReport, _Session, _rank_reduced
+from .graphs import (
+    MultiGraph,
+    banana_graph,
+    genus,
+    _parse_edge_list,
+    _subdivision_label,
+    subdivide_edges,
+)
+from .divisors import Divisor, _DivisorCore, canonical_divisor
+from .rank import RiemannRochReport, _Session, _rank_reduced, _riemann_roch_report
 
 
 @dataclass(frozen=True)
@@ -41,9 +49,6 @@ class QPoint:
     vertex: str | None = None
     edge: int | None = None
     offset: Fraction | None = None
-
-    def is_vertex(self) -> bool:
-        return self.vertex is not None
 
     def __repr__(self):
         if self.vertex is not None:
@@ -117,82 +122,29 @@ class QGraph:
         return (1, p.edge, p.offset)
 
 
-class QDivisor:
+class QDivisor(_DivisorCore):
     """Finite integer combination of rational points of a QGraph."""
 
-    __slots__ = ("qgraph", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, qgraph: QGraph, coeffs=None):
-        object.__setattr__(self, "qgraph", qgraph)
-        clean = {}
-        if coeffs:
-            for point, value in coeffs.items():
-                if type(value) is not int:  # bool, float, str, ... are never coerced
-                    raise DivisorError(
-                        f"coefficient of {point!r} must be an int, got {value!r}"
-                    )
-                if value == 0:
-                    continue
-                if point.vertex is not None:
-                    point = qgraph.vertex_point(point.vertex)
-                else:
-                    point = qgraph.point(point.edge, point.offset)
-                clean[point] = clean.get(point, 0) + value
-        object.__setattr__(
-            self, "_coeffs", {p: c for p, c in clean.items() if c != 0}
-        )
+    @property
+    def qgraph(self) -> QGraph:
+        return self._carrier
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QDivisor is immutable")
+    @staticmethod
+    def _point(qgraph, point):
+        if point.vertex is not None:
+            return qgraph.vertex_point(point.vertex)
+        return qgraph.point(point.edge, point.offset)
 
     def items(self):
         """Nonzero (point, coefficient) pairs in a canonical order."""
         return sorted(
-            self._coeffs.items(), key=lambda pc: self.qgraph._point_key(pc[0])
+            self._coeffs.items(), key=lambda pc: self._carrier._point_key(pc[0])
         )
-
-    def __getitem__(self, point: QPoint):
-        return self._coeffs.get(point, 0)
-
-    @property
-    def degree(self) -> int:
-        return sum(self._coeffs.values())
-
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self._coeffs.values())
 
     def support(self):
         return [p for p, _ in self.items()]
-
-    def __add__(self, other):
-        coeffs = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            coeffs[p] = coeffs.get(p, 0) + c
-        return QDivisor(self.qgraph, coeffs)
-
-    def __sub__(self, other):
-        coeffs = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            coeffs[p] = coeffs.get(p, 0) - c
-        return QDivisor(self.qgraph, coeffs)
-
-    def __neg__(self):
-        return QDivisor(self.qgraph, {p: -c for p, c in self._coeffs.items()})
-
-    def __rmul__(self, k):
-        if type(k) is not int:
-            return NotImplemented
-        return QDivisor(self.qgraph, {p: k * c for p, c in self._coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, QDivisor):
-            return NotImplemented
-        return self.qgraph == other.qgraph and self._coeffs == other._coeffs
-
-    def __repr__(self):
-        if not self._coeffs:
-            return "QDivisor(0)"
-        return "QDivisor(" + " + ".join(f"{c}({p})" for p, c in self.items()) + ")"
 
 
 def canonical_qdivisor(qg: QGraph) -> QDivisor:
@@ -242,16 +194,6 @@ class UnitModel:
             coeffs[label] = coeffs.get(label, 0) + c
         return Divisor(self.graph, coeffs)
 
-    def point_of(self, label) -> QPoint:
-        """Inverse of vertex_of, for reading results back."""
-        if self.qgraph.model.has_vertex(label):
-            return self.qgraph.vertex_point(label)
-        parts = label.rsplit("__", 3)
-        if len(parts) != 4:
-            raise MetricError(f"{label!r} is not a unit-model vertex")
-        edge, j = int(parts[2]), int(parts[3])
-        return self.qgraph.point(edge, Fraction(j, self.scale))
-
 
 def _unit_model(qg: QGraph, scale: int) -> UnitModel:
     counts = []
@@ -264,24 +206,19 @@ def _unit_model(qg: QGraph, scale: int) -> UnitModel:
     return UnitModel(qgraph=qg, graph=graph, scale=scale)
 
 
+def _clearing_scale(qg: QGraph, points=()) -> int:
+    """Least integer scale at which every edge length and the offset of
+    every given interior point become integers."""
+    return math.lcm(
+        *(l.denominator for l in qg.lengths),
+        *(p.offset.denominator for p in points if p.vertex is None),
+    )
+
+
 def canonical_unit_model(qg: QGraph) -> UnitModel:
     """Scale by the least common multiple of the length denominators and cut
     every edge into unit pieces."""
-    scale = 1
-    for l in qg.lengths:
-        scale = scale * l.denominator // math.gcd(scale, l.denominator)
-    return _unit_model(qg, scale)
-
-
-def _support_scale(qg: QGraph, d: QDivisor) -> int:
-    scale = 1
-    for l in qg.lengths:
-        scale = scale * l.denominator // math.gcd(scale, l.denominator)
-    for p in d.support():
-        if p.vertex is None:
-            den = p.offset.denominator
-            scale = scale * den // math.gcd(scale, den)
-    return scale
+    return _unit_model(qg, _clearing_scale(qg))
 
 
 def _unit_model_rank(um: UnitModel, d: QDivisor) -> int:
@@ -302,7 +239,7 @@ def q_rank(qg: QGraph, d: QDivisor, audit: bool = True) -> int:
     2013). With audit on (the default) the rank is recomputed on a uniform
     refinement and must agree; disagreement raises SubdivisionAuditError.
     """
-    scale = _support_scale(qg, d)
+    scale = _clearing_scale(qg, d.support())
     um = _unit_model(qg, scale)
     value = _unit_model_rank(um, d)
     if audit:
@@ -409,23 +346,12 @@ def divisor_of_function(qg: QGraph, f: PLFunction) -> QDivisor:
 # -- Riemann-Roch on metric graphs ------------------------------------------
 
 
-def metric_rr_check(qg: QGraph, d: QDivisor, audit: bool = True) -> RiemannRochReport:
-    """Both sides of the metric Riemann-Roch identity, each via q_rank."""
-    k = canonical_qdivisor(qg)
-    r_d = q_rank(qg, d, audit=audit)
-    r_kd = q_rank(qg, k - d, audit=audit)
-    gg = qg.genus
-    lhs = r_d - r_kd
-    rhs = d.degree + 1 - gg
-    return RiemannRochReport(
-        degree=d.degree,
-        genus=gg,
-        rank=r_d,
-        canonical_minus_rank=r_kd,
-        lhs=lhs,
-        rhs=rhs,
-        equal=lhs == rhs,
-    )
+def metric_rr_check(qg: QGraph, d: QDivisor) -> RiemannRochReport:
+    """Both sides of the metric Riemann-Roch identity, each via an audited
+    q_rank."""
+    r_d = q_rank(qg, d)
+    r_kd = q_rank(qg, canonical_qdivisor(qg) - d)
+    return _riemann_roch_report(d.degree, qg.genus, r_d, r_kd)
 
 
 # -- semicontinuity probes ----------------------------------------------------
@@ -472,24 +398,21 @@ def _perturbed_instance(qg, d, deltas, shifts, scale):
     return perturbed, QDivisor(perturbed, coeffs)
 
 
-def semicontinuity_probe(
-    qg: QGraph,
-    d: QDivisor,
-    eps,
-    samples: int,
-    seed: int,
-    grid_denominator: int = 24,
-    audit: bool = False,
-):
+# Perturbation directions live on multiples of 4/_PROBE_GRID, so that the
+# 1/2 and 1/4 scales still have denominator <= _PROBE_GRID.
+_PROBE_GRID = 24
+
+
+def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     """Sample rational perturbations of edge lengths and of the divisor's
     support and watch the rank along a shrinking sequence.
 
     A violation record means the rank stayed above the unperturbed rank at
     every sampled scale, which upper semicontinuity forbids; the report is
     a falsification harness and is expected to contain none. Ranks are
-    taken without the per-call subdivision audit by default: perturbed
-    lengths have large denominators, and auditing every sample roughly
-    doubles an already model-heavy scan.
+    taken without the per-call subdivision audit: perturbed lengths have
+    large denominators, and auditing every sample roughly doubles an
+    already model-heavy scan.
     """
     import random
 
@@ -499,15 +422,13 @@ def semicontinuity_probe(
     if eps >= min(qg.lengths):
         raise MetricError("eps must be smaller than the minimum edge length")
     rng = random.Random(seed)
-    # Directions live on a coarse grid (multiples of 4/grid_denominator)
-    # so that the 1/2 and 1/4 scales still have denominator <= the grid's.
     # A finer eps brings its own denominator and gets a finer grid.
-    step = Fraction(4, grid_denominator)
+    step = Fraction(4, _PROBE_GRID)
     if step > eps:
         step = eps / 4
     top = int(eps / step)
     scales = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
-    base_rank = q_rank(qg, d, audit=audit)
+    base_rank = q_rank(qg, d, audit=False)
     interior = [p for p in d.support() if p.vertex is None]
     records = []
     for idx in range(samples):
@@ -518,7 +439,7 @@ def semicontinuity_probe(
         ranks = []
         for scale in scales:
             perturbed, moved = _perturbed_instance(qg, d, deltas, shifts, scale)
-            ranks.append(q_rank(perturbed, moved, audit=audit))
+            ranks.append(q_rank(perturbed, moved, audit=False))
         violation = all(r > base_rank for r in ranks)
         records.append(
             ProbeRecord(
@@ -559,56 +480,21 @@ def norine_scan(n: int, denominator: int):
 
 
 def parse_qgraph(text: str) -> QGraph:
-    """Parse extended edge-list text: "<u> <v> [<num>/<den>]", default length 1.
+    """Parse edge-list text with an optional length column: "<u> <v>
+    [<num>/<den>]", default length 1, read by the graph parser, so the
+    "# vertices:" header that serialize_qgraph writes pins the vertex order.
 
-    Lines with length "inf" describe unbounded ends; they are stripped
-    with a warning (their rank theory reduces to the bounded part), and a
-    vertex appearing only on stripped lines disappears with them.
+    Lines with length "inf" describe unbounded ends; they are stripped with
+    a warning (their rank theory reduces to the bounded part), and a vertex
+    appearing only on stripped lines disappears with them unless the header
+    lists it.
     """
-    vertices = []
-    seen = set()
-    edges = []
-    lengths = []
-    stripped = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise EdgeListSyntaxError(
-                f"expected 'u v [length]', got {line!r}", line=lineno
-            )
-        u, v = parts[0], parts[1]
-        if len(parts) == 3 and parts[2].lower() in ("inf", "infinity"):
-            stripped += 1
-            continue
-        if len(parts) == 3:
-            try:
-                length = Fraction(parts[2])
-            except (ValueError, ZeroDivisionError):
-                raise EdgeListSyntaxError(
-                    f"bad length {parts[2]!r}", line=lineno
-                ) from None
-        else:
-            length = Fraction(1)
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                vertices.append(w)
-        edges.append((u, v))
-        lengths.append(length)
-    if stripped:
-        warnings.warn(
-            f"stripped {stripped} unbounded edge(s); ranks are unchanged",
-            stacklevel=2,
-        )
-    if not vertices:
-        raise EmptyGraphError("no bounded edges in input")
+    vertices, edges, lengths = _parse_edge_list(text, with_lengths=True)
     return QGraph(MultiGraph(vertices, edges), lengths)
 
 
 def serialize_qgraph(qg: QGraph) -> str:
+    """Inverse of parse_qgraph: vertex header comment, then "u v length" lines."""
     lines = ["# vertices: " + " ".join(qg.model.vertices)]
     for (u, v), l in zip(qg.model.edges, qg.lengths):
         lines.append(f"{u} {v} {l}")

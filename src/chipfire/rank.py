@@ -81,7 +81,11 @@ def _child(sess, red, v):
 
 
 def _rank_geq(sess, red, k):
-    """Does every effective E of degree k leave |D - E| nonempty? red = reduced D."""
+    """Does every effective E of degree k leave |D - E| nonempty? red = reduced D.
+
+    The memo holds True for a pass and, for a failure, the first vertex
+    whose removal fails, so certificates can follow the failing chain.
+    """
     if red[0] < 0:
         return False
     if k == 0:
@@ -90,36 +94,16 @@ def _rank_geq(sess, red, k):
     memo = sess.geq_memo
     got = memo.get(key)
     if got is not None:
-        return got
+        return got is True
     result = True
     for v in sess.probe_order(red):
         if k == 1 and (red[v] >= 1 if v != 0 else red[0] >= 1):
             continue  # subtracting here stays effective
         if not _rank_geq(sess, _child(sess, red, v), k - 1):
-            result = False
+            result = v
             break
     memo[key] = result
-    return result
-
-
-def _find_failing_chain(sess, red, k):
-    """A list of <= k vertex indices whose removal empties the class, or None.
-
-    Follows the memo left behind by the rank search, so known-passing
-    branches are skipped.
-    """
-    if red[0] < 0:
-        return []
-    if k == 0:
-        return None
-    for v in sess.probe_order(red):
-        child = _child(sess, red, v)
-        if sess.geq_memo.get((child, k - 1)) is True:
-            continue
-        tail = _find_failing_chain(sess, child, k - 1)
-        if tail is not None:
-            return [v] + tail
-    return None
+    return result is True
 
 
 def _rank_reduced(sess, red):
@@ -232,19 +216,21 @@ def rank_with_certificate(g: MultiGraph, d: Divisor) -> RankResult:
             nu_ordering=ordering,
             nu=nu,
         )
-    witness = Divisor.from_vector(g, list(red))
-    chain = _find_failing_chain(sess, red, value + 1)
-    if chain is None:
+    # The high-degree branch never searches rank + 1, so search it here;
+    # the memo then records the first failing vertex at every step.
+    if _rank_geq(sess, red, value + 1):
         raise AssertionError("no failing evidence at rank+1; engine is broken")
-    chain = chain + [0] * (value + 1 - len(chain))
-    coeffs = {}
-    for v in chain:
-        label = g.vertices[v]
-        coeffs[label] = coeffs.get(label, 0) + 1
+    failing = [0] * len(g.vertices)
+    node, k = red, value + 1
+    while node[0] >= 0:
+        v = sess.geq_memo[(node, k)]
+        failing[v] += 1
+        node, k = _child(sess, node, v), k - 1
+    failing[0] += k  # a chain that empties the class early is padded at q
     return RankResult(
         rank=value,
-        effective_witness=witness,
-        failing_evidence=Divisor(g, coeffs),
+        effective_witness=Divisor.from_vector(g, list(red)),
+        failing_evidence=Divisor.from_vector(g, failing),
         nu_ordering=None,
         nu=None,
     )
@@ -264,16 +250,11 @@ class RiemannRochReport:
     equal: bool
 
 
-def riemann_roch_check(g: MultiGraph, d: Divisor) -> RiemannRochReport:
-    """Evaluate both sides of r(D) - r(K - D) = deg(D) + 1 - g independently."""
-    k = canonical_divisor(g)
-    r_d = rank(g, d)
-    r_kd = rank(g, k - d)
-    gg = genus(g)
+def _riemann_roch_report(degree, gg, r_d, r_kd) -> RiemannRochReport:
     lhs = r_d - r_kd
-    rhs = d.degree + 1 - gg
+    rhs = degree + 1 - gg
     return RiemannRochReport(
-        degree=d.degree,
+        degree=degree,
         genus=gg,
         rank=r_d,
         canonical_minus_rank=r_kd,
@@ -281,3 +262,10 @@ def riemann_roch_check(g: MultiGraph, d: Divisor) -> RiemannRochReport:
         rhs=rhs,
         equal=lhs == rhs,
     )
+
+
+def riemann_roch_check(g: MultiGraph, d: Divisor) -> RiemannRochReport:
+    """Evaluate both sides of r(D) - r(K - D) = deg(D) + 1 - g independently."""
+    r_d = rank(g, d)
+    r_kd = rank(g, canonical_divisor(g) - d)
+    return _riemann_roch_report(d.degree, genus(g), r_d, r_kd)

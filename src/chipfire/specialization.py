@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import UnassignedPointError
+from .errors import DivisorError, UnassignedPointError
 from .graphs import MultiGraph, parse_graph
 from .divisors import Divisor, canonical_divisor, is_equivalent
 from .rank import rank
@@ -42,6 +42,13 @@ class LabeledCurveDivisor:
     name: str
     coefficients: dict
     stated_rank: int | None = None
+
+    def __post_init__(self):
+        for point, value in self.coefficients.items():
+            if type(value) is not int:  # bool, float, str, ... are never coerced
+                raise DivisorError(
+                    f"coefficient of curve point {point!r} must be an int, got {value!r}"
+                )
 
     @property
     def degree(self) -> int:
@@ -106,7 +113,7 @@ def fixture_from_dict(data: dict) -> SpecializationFixture:
     divisors = tuple(
         LabeledCurveDivisor(
             name=entry["name"],
-            coefficients={k: int(v) for k, v in entry["coeffs"].items()},
+            coefficients=dict(entry["coeffs"]),
             stated_rank=entry.get("statedRank"),
         )
         for entry in data["divisors"]

@@ -1,6 +1,7 @@
 """The command-line surface: parsing, payloads, exit codes."""
 
 import json
+from importlib import resources
 
 from chipfire.cli import CommandResult, main
 
@@ -232,3 +233,27 @@ def test_sweep_out_into_missing_directory_is_input_error(tmp_path, capsys):
     assert code == 1
     assert payload["status"] == "error"
     assert "x.jsonl" in payload["error"]
+
+
+def test_specialize_bad_fixtures_are_input_errors(tmp_path, capsys):
+    code, payload = run_json(capsys, "specialize", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert payload["status"] == "error"
+    assert "missing.json" in payload["error"]
+    bundled = json.loads(
+        (resources.files("chipfire") / "fixtures" / "quartic_x0.json").read_text()
+    )
+    no_divisors = {k: v for k, v in bundled.items() if k != "divisors"}
+    fractional = json.loads(json.dumps(bundled))
+    point = next(iter(fractional["divisors"][0]["coeffs"]))
+    fractional["divisors"][0]["coeffs"][point] = 1.5
+    for data, needle in ((no_divisors, "divisors"), (fractional, "1.5")):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(data))
+        code, payload = run_json(capsys, "specialize", str(path))
+        assert code == 1
+        assert payload["status"] == "error"
+        assert needle in payload["error"]
+        code, _, err = run(capsys, "specialize", str(path))
+        assert code == 1
+        assert err.startswith("error:")

@@ -1,6 +1,7 @@
 """Divisor arithmetic, the Laplacian, and q-reduction."""
 
 import random
+from fractions import Fraction as F
 from unittest import mock
 
 import pytest
@@ -305,3 +306,28 @@ def test_canonical_divisor_banana(n):
 def test_canonical_degree_formula(seed):
     g = cf.random_multigraph(2 + seed % 6, seed % 7, seed=seed)
     assert cf.canonical_divisor(g).degree == 2 * cf.genus(g) - 2
+
+
+def test_qdivisor_arithmetic_across_metric_graphs_raises():
+    model = cf.banana_graph(3)
+    qa = cf.QGraph.unit(model)
+    qb = cf.QGraph(model, [F(1, 2), F(1), F(1)])
+    da = cf.QDivisor(qa, {qa.point(0, F(1, 3)): 1})
+    db = cf.QDivisor(qb, {qb.point(0, F(1, 3)): 1})
+    for op in (lambda: db + da, lambda: db - da, lambda: da + db):
+        with pytest.raises(UnboundVertexError):
+            op()
+    with pytest.raises(TypeError):
+        da + cf.Divisor(model, {"Q1": 1})
+
+
+def test_qdivisor_hash_agrees_with_eq():
+    """QDivisors that compare equal hash equal, also on distinct but equal
+    metric graphs and when a point is given as an edge endpoint."""
+    qa = cf.QGraph(cf.banana_graph(3), [F(1, 2), F(1), F(1)])
+    qb = cf.QGraph(cf.banana_graph(3), [F(1, 2), F(1), F(1)])
+    a = cf.QDivisor(qa, {qa.point(0, F(1, 4)): 2, qa.point(0, F(1, 2)): 1})
+    b = cf.QDivisor(qb, {qb.vertex_point("Q2"): 1, qb.point(0, F(1, 4)): 2})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -1,5 +1,6 @@
 """Gonality, minimal-degree systems, Weierstrass points, gaps."""
 
+import itertools
 import random
 import warnings
 
@@ -221,3 +222,43 @@ def test_rank_degree_floor():
     assert cf.rank_degree_floor(5, 1) == 2
     assert cf.rank_degree_floor(2, 2) == 4
     assert cf.rank_degree_floor(6, 2) == 4
+
+
+def _superstable_oracle(g, max_size):
+    """Configurations c (c at the base is 0, 0 <= c(v) < deg(v)) of total at
+    most max_size on which no nonempty vertex set avoiding the base can
+    fire, in lexicographic order; by brute force over all vertex sets."""
+    n = len(g.vertices)
+    degs = g.degrees()
+    adj = g.adjacency()
+    out = []
+    for tail in itertools.product(*(range(degs[v]) for v in range(1, n))):
+        if sum(tail) > max_size:
+            continue
+        config = (0,) + tail
+        fires = False
+        for mask in range(1, 1 << (n - 1)):
+            inside = {v for v in range(1, n) if mask >> (v - 1) & 1}
+            if all(
+                config[v] >= sum(m for j, m in adj[v] if j not in inside)
+                for v in inside
+            ):
+                fires = True
+                break
+        if not fires:
+            out.append(config)
+    return sorted(out)
+
+
+def test_superstable_configs_order_and_long_cycle():
+    # min_degree_grd returns the first witness found, so the lexicographic
+    # order of the enumeration is part of its contract
+    for i in range(12):
+        g = cf.random_multigraph(2 + i % 4, i % 4, seed=300 + i)
+        for max_size in (1, 2, None):
+            cap = max_size if max_size is not None else sum(g.degrees())
+            got = list(cf.superstable_configs(g, max_size=max_size))
+            assert got == _superstable_oracle(g, cap)
+    # one configuration per vertex plus the empty one, with no recursion
+    # limit on the vertex count
+    assert len(list(cf.superstable_configs(cf.cycle_graph(1500), max_size=1))) == 1500

@@ -74,15 +74,18 @@ def test_unit_model_mixed_denominators():
     assert len(um.graph.edges) == 3 + 2
 
 
-def test_unit_model_point_round_trip():
+def test_unit_model_vertex_of_grid_points():
     qg = cf.QGraph.unit(cf.banana_graph(4))
-    um = cf.canonical_unit_model(cf.QGraph(qg.model, [F(1)] * 4))
     p = qg.point(2, F(1))  # endpoint collapses to Q2
     assert p.vertex == "Q2"
     um6 = cf.canonical_unit_model(cf.QGraph(qg.model, [F(5, 6), F(1), F(1), F(1)]))
-    q = um6.qgraph.point(0, F(1, 3))
-    label = um6.vertex_of(q)
-    assert um6.point_of(label) == q
+    assert um6.vertex_of(p) == "Q2"
+    # offset 1/3 at scale 6 is the second unit vertex on edge 0's path:
+    # two unit steps from Q1 and three from Q2
+    label = um6.vertex_of(um6.qgraph.point(0, F(1, 3)))
+    for end, steps in (("Q1", 2), ("Q2", 3)):
+        dist, _ = um6.graph.distance_layers(um6.graph.index(end))
+        assert dist[um6.graph.index(label)] == steps
 
 
 def test_unit_model_rejects_off_grid_point():
@@ -254,7 +257,7 @@ def test_metric_rr_random_100():
             point = qg.point(edge, offset)
             coeffs[point] = coeffs.get(point, 0) + rng.randint(-1, 2)
         d = cf.QDivisor(qg, coeffs)
-        assert cf.metric_rr_check(qg, d, audit=False).equal
+        assert cf.metric_rr_check(qg, d).equal
 
 
 # -- probes and scans ----------------------------------------------------------
@@ -363,3 +366,12 @@ def test_serialize_qgraph_round_trip():
 def test_qgraph_rejects_nonpositive_length():
     with pytest.raises(MetricError):
         cf.QGraph(cf.banana_graph(3), [F(1), F(0), F(1)])
+
+
+def test_qgraph_round_trip_keeps_header_vertex_order():
+    # vertex order b a c differs from the edges' first-appearance order a b c
+    model = cf.MultiGraph(["b", "a", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    qg = cf.QGraph(model, [F(1, 2), F(2), F(3, 4)])
+    again = cf.parse_qgraph(cf.serialize_qgraph(qg))
+    assert again.model.vertices == ("b", "a", "c")
+    assert again == qg

@@ -115,3 +115,14 @@ def test_fixture_round_trip_from_dict(quartic):
     assert cf.specialize(fixture.table, fixture.divisors[0]) == cf.Divisor(
         fixture.graph, {"a": 2}
     )
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1", None])
+def test_fixture_rejects_non_int_coefficients(value):
+    data = {
+        "graph": "a b\nb c\nc a",
+        "assignments": {"p": "a"},
+        "divisors": [{"name": "d", "coeffs": {"p": value}}],
+    }
+    with pytest.raises(cf.DivisorError):
+        cf.fixture_from_dict(data)
