@@ -14,6 +14,7 @@ from .errors import (
     DivisorError,
     EdgeListSyntaxError,
     EmptyGraphError,
+    FixtureError,
     GraphError,
     LoopEdgeError,
     MetricError,

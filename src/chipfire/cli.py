@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 on error, 2 for findings under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -289,8 +290,6 @@ def _cmd_specialize(args) -> CommandResult:
         fixture = load_fixture(args.fixture)
     except OSError as exc:
         raise InputError(f"cannot read {args.fixture!r}: {exc}") from exc
-    except KeyError as exc:
-        raise InputError(f"fixture has no {exc.args[0]!r} entry") from exc
     g = fixture.graph
     k = canonical_divisor(g)
     rows = []
@@ -444,7 +443,15 @@ def _global_flags(parser, suppress):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later main() call in the process; callers must not modify it.
+
+    Sharing is safe: parse_args returns a fresh Namespace each time, and the
+    subparsers' copies of the global flags default to SUPPRESS, so no value
+    carries over from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="chipfire",
         description="Exact divisor theory on multigraphs and metric Q-graphs.",

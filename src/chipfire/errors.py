@@ -69,3 +69,7 @@ class SubdivisionAuditError(ChipfireError):
 
 class UnassignedPointError(ChipfireError):
     """A curve point has no vertex assignment in the specialization table."""
+
+
+class FixtureError(ChipfireError):
+    """A specialization fixture has a missing or mistyped entry."""

@@ -332,7 +332,9 @@ def subdivide_edges(g: MultiGraph, counts):
 
     Returns (new graph, map from old vertex label to its label in the new
     graph). Fresh labels are "<u>__<v>__<edgeIndex>__<j>" with j in
-    1..counts[i]-1, in path order from u to v.
+    1..counts[i]-1, in path order from u to v; a vertex of g that already
+    has one of these labels is a GraphError. Two fresh labels never
+    coincide, since their last two fields (edge index, j) differ.
     """
     counts = list(counts)
     if len(counts) != len(g.edges):
@@ -346,6 +348,11 @@ def subdivide_edges(g: MultiGraph, counts):
         prev = u
         for j in range(1, k):
             fresh = _subdivision_label(u, v, idx, j)
+            if g.has_vertex(fresh):
+                raise GraphError(
+                    f"vertex label {fresh!r} is also the label of a fresh vertex"
+                    f" on edge {idx} ({u!r}, {v!r}); rename that vertex"
+                )
             vertices.append(fresh)
             edges.append((prev, fresh))
             prev = fresh

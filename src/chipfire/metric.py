@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .errors import (
     DiscontinuityError,
+    DivisorError,
     MetricError,
     NonIntegerSlopeError,
     SubdivisionAuditError,
@@ -133,6 +134,10 @@ class QDivisor(_DivisorCore):
 
     @staticmethod
     def _point(qgraph, point):
+        if not isinstance(point, QPoint):
+            raise DivisorError(
+                f"{point!r} is not a QPoint; make one with vertex_point or point"
+            )
         if point.vertex is not None:
             return qgraph.vertex_point(point.vertex)
         return qgraph.point(point.edge, point.offset)

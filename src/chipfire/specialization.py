@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DivisorError, UnassignedPointError
+from .errors import DivisorError, FixtureError, UnassignedPointError
 from .graphs import MultiGraph, parse_graph
 from .divisors import Divisor, canonical_divisor, is_equivalent
 from .rank import rank
@@ -49,6 +49,10 @@ class LabeledCurveDivisor:
                 raise DivisorError(
                     f"coefficient of curve point {point!r} must be an int, got {value!r}"
                 )
+        if self.stated_rank is not None and type(self.stated_rank) is not int:
+            raise DivisorError(
+                f"stated rank of {self.name!r} must be an int, got {self.stated_rank!r}"
+            )
 
     @property
     def degree(self) -> int:
@@ -107,19 +111,50 @@ class SpecializationFixture:
         return self.table.target
 
 
-def fixture_from_dict(data: dict) -> SpecializationFixture:
-    graph = parse_graph(data["graph"])
-    table = SpecializationTable(target=graph, assignments=dict(data["assignments"]))
-    divisors = tuple(
-        LabeledCurveDivisor(
-            name=entry["name"],
-            coefficients=dict(entry["coeffs"]),
-            stated_rank=entry.get("statedRank"),
+_KIND_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list"}
+_REQUIRED = object()
+
+
+def _entry(data, key, kind, where, default=_REQUIRED):
+    """data[key], checked to be of one JSON kind (a bool is not an integer).
+    An absent key gives the default, or FixtureError if there is none."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise FixtureError(f"{where} has no {key!r} entry")
+        return default
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FixtureError(
+            f"{where}: {key!r} must be {_KIND_NAMES[kind]}, got {value!r}"
         )
-        for entry in data["divisors"]
-    )
+    return value
+
+
+def fixture_from_dict(data: dict) -> SpecializationFixture:
+    """The fixture from its JSON form; a missing or mistyped entry raises
+    FixtureError, bad graph text or coefficients their own ChipfireError."""
+    if not isinstance(data, dict):
+        raise FixtureError(f"fixture must be an object, got {type(data).__name__}")
+    graph = parse_graph(_entry(data, "graph", str, "fixture"))
+    assignments = _entry(data, "assignments", dict, "fixture")
+    for point in assignments:
+        _entry(assignments, point, str, "fixture assignments")
+    divisors = []
+    for i, entry in enumerate(_entry(data, "divisors", list, "fixture")):
+        where = f"fixture divisor {i}"
+        if not isinstance(entry, dict):
+            raise FixtureError(f"{where} must be an object, got {entry!r}")
+        divisors.append(
+            LabeledCurveDivisor(
+                name=_entry(entry, "name", str, where),
+                coefficients=dict(_entry(entry, "coeffs", dict, where)),
+                stated_rank=_entry(entry, "statedRank", int, where, default=None),
+            )
+        )
     return SpecializationFixture(
-        provenance=data.get("provenance", ""), table=table, divisors=divisors
+        provenance=_entry(data, "provenance", str, "fixture", default=""),
+        table=SpecializationTable(target=graph, assignments=dict(assignments)),
+        divisors=tuple(divisors),
     )
 
 

@@ -3,7 +3,9 @@
 import json
 from importlib import resources
 
+from chipfire import __version__, cli
 from chipfire.cli import CommandResult, main
+from chipfire.experiments import SweepResult
 
 
 def run(capsys, *argv):
@@ -243,17 +245,83 @@ def test_specialize_bad_fixtures_are_input_errors(tmp_path, capsys):
     bundled = json.loads(
         (resources.files("chipfire") / "fixtures" / "quartic_x0.json").read_text()
     )
-    no_divisors = {k: v for k, v in bundled.items() if k != "divisors"}
-    fractional = json.loads(json.dumps(bundled))
-    point = next(iter(fractional["divisors"][0]["coeffs"]))
-    fractional["divisors"][0]["coeffs"][point] = 1.5
-    for data, needle in ((no_divisors, "divisors"), (fractional, "1.5")):
+
+    def changed(edit):
+        data = json.loads(json.dumps(bundled))
+        edit(data)
+        return data
+
+    point = next(iter(bundled["divisors"][0]["coeffs"]))
+
+    def first(data):
+        return data["divisors"][0]
+
+    for data, needle in (
+        (changed(lambda d: d.pop("divisors")), "divisors"),
+        (changed(lambda d: first(d)["coeffs"].update({point: 1.5})), "1.5"),
+        (changed(lambda d: first(d).update(coeffs=[[point, 1]])), "coeffs"),
+        (changed(lambda d: d.update(assignments=5)), "assignments"),
+        (changed(lambda d: d.update(divisors=5)), "divisors"),
+        (changed(lambda d: d.update(graph=5)), "graph"),
+        (changed(lambda d: first(d).update(statedRank=1.5)), "statedRank"),
+        (changed(lambda d: first(d).update(statedRank=True)), "statedRank"),
+        ([bundled], "object"),
+    ):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(data))
         code, payload = run_json(capsys, "specialize", str(path))
-        assert code == 1
-        assert payload["status"] == "error"
+        assert code == 1, needle
+        assert payload["status"] == "error", needle
         assert needle in payload["error"]
-        code, _, err = run(capsys, "specialize", str(path))
-        assert code == 1
-        assert err.startswith("error:")
+        code, out, err = run(capsys, "specialize", str(path))
+        assert code == 1 and out == "", needle
+        assert err.startswith("error:"), needle
+
+
+# One process, many main() calls: a flag given on one call must not reach the
+# next. Each entry is (argv, expected exit code).
+MIXED_CALLS = (
+    (("--version",), 0),
+    (("--help",), 0),
+    (("rank", "--help"), 0),
+    (("rank", "banana(3)"), 1),  # usage error: no divisor
+    (("--json", "jacobian", "complete(4)"), 0),
+    (("jacobian", "complete(4)"), 0),
+    (("--json", "--seed", "5", "sweep", "gonality"), 0),
+    (("--json", "sweep", "gonality"), 0),
+    (("--json", "sweep", "gonality", "--seed", "5"), 0),
+    (("sweep", "gonality"), 0),
+    (("--strict", "--json", "sweep", "gonality"), 2),
+    (("--json", "sweep", "gonality"), 0),
+    (("sweep", "gonality", "--strict", "--json"), 2),
+    (("--json", "sweep", "gonality"), 0),
+    (("frobnicate",), 1),
+    (("--json", "rank", "banana(3)", '{"Q1": 1, "Q2": 1}'), 0),
+)
+
+
+def _sweep_finding(gmax, seed_count, seed, out):
+    """Stand-in sweep that reports one finding naming the seed it was given."""
+    result = SweepResult()
+    result.findings.append({"experiment": "gonality_bound", "seed": seed})
+    return result
+
+
+def test_repeated_main_calls_share_one_parser(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gonality_bound_sweep", _sweep_finding)
+    with monkeypatch.context() as patch:
+        # the uncached builder: a fresh parser for every call
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv, _ in MIXED_CALLS]
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv, _ in MIXED_CALLS]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(MIXED_CALLS) - 1)
+    assert shared == fresh
+    for (argv, expected), (code, out, _) in zip(MIXED_CALLS, shared):
+        assert code == expected, argv
+        assert out.startswith("{") == ("--json" in argv), argv
+        if "sweep" in argv and "--json" in argv:
+            seed = json.loads(out)["findings"][0]["seed"]
+            assert seed == (5 if "--seed" in argv else 0), argv
+    assert shared[0][1].strip() == __version__

@@ -1,6 +1,7 @@
 """Divisor arithmetic, the Laplacian, and q-reduction."""
 
 import random
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -71,6 +72,15 @@ def test_qdivisor_rejects_non_int_coefficients(value):
     qg = cf.QGraph.unit(cf.banana_graph(3))
     with pytest.raises(DivisorError):
         cf.QDivisor(qg, {qg.vertex_point("Q1"): value})
+
+
+@pytest.mark.parametrize("point", ["Q1", 0, ("Q1",), None])
+def test_qdivisor_rejects_points_that_are_not_qpoints(point):
+    qg = cf.QGraph.unit(cf.banana_graph(3))
+    with pytest.raises(DivisorError, match=re.escape(repr(point))):
+        cf.QDivisor(qg, {point: 1})
+    with pytest.raises(DivisorError, match=re.escape(repr(point))):
+        cf.QDivisor(qg, {})[point]
 
 
 def test_laplacian_banana_indicator():

@@ -130,6 +130,21 @@ def test_subdivide_rejects_zero():
         cf.subdivide(cf.banana_graph(3), 0)
 
 
+def test_subdivide_names_a_user_label_that_collides_with_a_fresh_label():
+    # edge 0 is (a, b), so subdividing it in two makes the fresh vertex a__b__0__1
+    g = cf.parse_graph("a b\na b\nb a__b__0__1")
+    with pytest.raises(GraphError, match="'a__b__0__1'"):
+        cf.subdivide(g, 2)
+    with pytest.raises(GraphError, match="'a__b__0__1'"):
+        cf.subdivide_edges(g, [2, 1, 1])
+    # labels of that shape that collide with nothing keep working
+    sub, _ = cf.subdivide_edges(g, [1, 2, 1])  # edge 0 stays whole
+    assert "a__b__1__1" in sub.vertices
+    sub, vmap = cf.subdivide(cf.parse_graph("a c\nc a__b__0__1"), 2)
+    assert vmap["a__b__0__1"] == "a__b__0__1"
+    assert len(sub.vertices) == 5
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 4))
 def test_subdivision_preserves_genus(seed, k):

@@ -108,10 +108,13 @@ def test_fixture_round_trip_from_dict(quartic):
     data = {
         "graph": "a b\nb c\nc a",
         "assignments": {"p": "a"},
-        "divisors": [{"name": "d", "coeffs": {"p": 2}, "statedRank": 0}],
+        "divisors": [
+            {"name": "d", "coeffs": {"p": 2}, "statedRank": 0},
+            {"name": "e", "coeffs": {"p": 1}},
+        ],
     }
     fixture = cf.fixture_from_dict(data)
-    assert fixture.divisors[0].stated_rank == 0
+    assert [d.stated_rank for d in fixture.divisors] == [0, None]
     assert cf.specialize(fixture.table, fixture.divisors[0]) == cf.Divisor(
         fixture.graph, {"a": 2}
     )
@@ -126,3 +129,46 @@ def test_fixture_rejects_non_int_coefficients(value):
     }
     with pytest.raises(cf.DivisorError):
         cf.fixture_from_dict(data)
+
+
+def _fixture(**changes):
+    data = {
+        "graph": "a b\nb c\nc a",
+        "assignments": {"p": "a"},
+        "divisors": [{"name": "d", "coeffs": {"p": 2}, "statedRank": 0}],
+    }
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        _fixture(graph=5),
+        _fixture(assignments=5),
+        _fixture(assignments=[["p", "a"]]),
+        _fixture(assignments={"p": ["a"]}),
+        _fixture(divisors=5),
+        _fixture(divisors={"name": "d", "coeffs": {"p": 2}}),
+        _fixture(divisors=[5]),
+        _fixture(divisors=[{"name": "d", "coeffs": [["p", 2]]}]),
+        _fixture(divisors=[{"name": 5, "coeffs": {"p": 2}}]),
+        _fixture(divisors=[{"coeffs": {"p": 2}}]),
+        _fixture(divisors=[{"name": "d"}]),
+        _fixture(provenance=5),
+    ],
+)
+def test_fixture_rejects_malformed_entries(data):
+    with pytest.raises(cf.ChipfireError):
+        cf.fixture_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [1.5, True, False, "1", None, [0]])
+def test_fixture_rejects_non_int_stated_rank(value):
+    data = _fixture(divisors=[{"name": "d", "coeffs": {"p": 2}, "statedRank": value}])
+    with pytest.raises(cf.ChipfireError, match="statedRank"):
+        cf.fixture_from_dict(data)
+    if value is not None:  # stated_rank=None means no stated rank
+        with pytest.raises(cf.DivisorError):
+            LabeledCurveDivisor(name="d", coefficients={"p": 2}, stated_rank=value)
