@@ -96,6 +96,14 @@ def _json_int(value, what):
     return value
 
 
+def _fraction(text: str, what) -> Fraction:
+    """A rational like 1/6; a malformed one or a zero denominator is an input error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{what} must be a rational number, got {text!r}") from exc
+
+
 def _load_divisor(graph, arg: str) -> Divisor:
     text = _read_arg(arg)
     try:
@@ -139,7 +147,8 @@ def _load_qdivisor(qgraph, arg: str) -> QDivisor:
                 point = qgraph.vertex_point(entry["vertex"])
             else:
                 edge = _json_int(entry["edge"], f"edge in entry {entry!r}")
-                point = qgraph.point(edge, Fraction(str(entry["offset"])))
+                offset = _fraction(str(entry["offset"]), f"offset in entry {entry!r}")
+                point = qgraph.point(edge, offset)
         except TypeError as exc:
             raise InputError(f"bad metric divisor entry {entry!r}: {exc}") from exc
         coeffs[point] = coeffs.get(point, 0) + coeff
@@ -248,9 +257,8 @@ def _cmd_norine_scan(args) -> CommandResult:
 def _cmd_semicontinuity(args) -> CommandResult:
     qg = _load_qgraph(args.graph)
     d = _load_qdivisor(qg, args.divisor)
-    report = semicontinuity_probe(
-        qg, d, eps=Fraction(args.eps), samples=args.samples, seed=args.seed
-    )
+    eps = _fraction(args.eps, "--eps")
+    report = semicontinuity_probe(qg, d, eps=eps, samples=args.samples, seed=args.seed)
     payload = {
         "baseRank": report.base_rank,
         "samples": len(report.records),

@@ -2,13 +2,23 @@
 
 A divisor is an integer vector indexed by the vertices of a fixed graph;
 linear equivalence is difference by a Laplacian image. Equality of classes
-is decided through the unique q-reduced representative: distance-layer debt
-settling; then, only when more than sum(deg) = 2|E| chips sit away from q,
-firing the rounded-down exact solution of the reduced-Laplacian system
-(Baker-Shokrieh 2013, adjugate cached per graph and root) and settling
-again; then iterated Dhar burning. Rounding leaves every coefficient away
-from q strictly between -deg(v) and deg(v), so large-debt inputs skip the
-thousands of burning passes that would each move chips one step.
+is decided through the unique q-reduced representative, reached in three
+steps: settle or lend, round, burn.
+
+- Settle or lend. When the only debt away from q is a single chip at one
+  vertex v (what the rank search produces when it removes a chip from a
+  reduced divisor), lend: unfire, until v is out of debt, the set that
+  burns outward from v with q fireproof. Any other debt is settled by one
+  far-to-near pass over the distance layers of q.
+- Round. Only when more than sum(deg) = 2|E| chips then sit away from q,
+  fire the rounded-down exact solution of the reduced-Laplacian system
+  (Baker-Shokrieh 2013, adjugate cached per graph and root) and settle
+  again. Rounding leaves every coefficient away from q strictly between
+  -deg(v) and deg(v), so large-debt inputs skip the thousands of burning
+  passes that would each move chips one step.
+- Burn. Iterated Dhar burning, the only step that declares a vector
+  reduced. After lending on a reduced divisor minus one chip it fires
+  nothing, since lending has already landed on the reduced form.
 """
 
 from __future__ import annotations
@@ -246,18 +256,73 @@ def _fire_floor_potential(g: MultiGraph, vec, q):
                 vec[j] += x * mult
 
 
+def _lend(adj, vec, q, v, n):
+    """One lending round for a vector whose only debt away from q sits at v:
+    unfire once the set A that burns outward from v with q fireproof.
+
+    v starts in A; a vertex w != q joins A when its edges into A exceed
+    vec[w], and q never joins. Unfiring A moves one chip along every edge
+    from outside A into A, so a vertex outside A other than q loses at most
+    what it holds, the members of A only gain, and only v (and q) can stay
+    in debt.
+
+    Lemma. Let C be a vector of this kind and t >= 0 an integer vector for
+    which C + L t (C with every vertex w unfired t(w) times) is nonnegative
+    away from q. Then t >= 1 on A. Proof: C(v) < 0 <= (C + L t)(v) forces
+    t(v) to exceed the value of t at some neighbour, so t(v) >= 1. If w
+    were the first vertex to join A with t(w) = 0, then
+    (C + L t)(w) = C(w) - sum of t over the neighbours of w
+    <= C(w) - (edges from w into A) < 0, with w != q: a contradiction.
+    So t - 1_A is again such a vector, and rounds repeated until v is out
+    of debt stop after at most t(v) of them; this is the least action
+    principle of chip-firing (Fey-Levine-Peres 2010) for unfiring.
+
+    Corollary. If D = C + (v) is q-reduced, lending ends on the q-reduced
+    form R = C + L t of C (t(q) = 0) itself, after exactly t(v) rounds. A
+    vector S nonnegative away from q reaches its q-reduced form by Dhar
+    firings of sets avoiding q, i.e. as S - L f with f >= 0 and f(q) = 0.
+    Applied to S = R + (v), whose reduced form is D = R + (v) - L t, this
+    gives t >= 0 (t - f vanishes at q and L (t - f) = 0), so the lemma
+    applies. Lending stops at S = R - L u with u >= 0 and u(q) = 0, and
+    applied to that S, R = S - L f gives u = -f, so u = f = 0.
+    """
+    state = bytearray(n)  # 1: in A; 2: q, which never burns
+    state[q] = 2
+    state[v] = 1
+    threat = [0] * n
+    members = [v]
+    for u in members:  # the list grows while it is walked
+        for j, mult in adj[u]:
+            if not state[j]:
+                threat[j] += mult
+                if threat[j] > vec[j]:
+                    state[j] = 1
+                    members.append(j)
+    for u in members:
+        for j, mult in adj[u]:
+            if state[j] != 1:
+                vec[u] += mult
+                vec[j] -= mult
+
+
 def reduce_vector(g: MultiGraph, vec, q=0):
     """q-reduce a dense coefficient list in place and return it."""
     n = len(g.vertices)
     if n == 1:
         return vec
-    _settle_debts(g, vec, q)
+    adj = g.adjacency()
+    debtors = [i for i in range(n) if vec[i] < 0 and i != q]
+    if len(debtors) == 1 and vec[debtors[0]] == -1:
+        v = debtors[0]
+        while vec[v] < 0:
+            _lend(adj, vec, q, v, n)
+    elif debtors:
+        _settle_debts(g, vec, q)
     # Rounding leaves fewer than sum(deg) = 2|E| chips away from q; below
     # that, burning alone has only a bounded amount of work left.
     if sum(vec) - vec[q] > 2 * len(g.edges):
         _fire_floor_potential(g, vec, q)
         _settle_debts(g, vec, q)
-    adj = g.adjacency()
     while True:
         unburnt, threat = _dhar_unburnt(adj, vec, q, n)
         if not unburnt:

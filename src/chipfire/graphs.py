@@ -107,11 +107,14 @@ class MultiGraph:
     def index(self, label):
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable label names no vertex
             raise GraphError(f"unknown vertex {label!r}") from None
 
     def has_vertex(self, label):
-        return label in self._index
+        try:
+            return label in self._index
+        except TypeError:  # an unhashable label names no vertex
+            return False
 
     def adjacency(self):
         """Per-vertex list of (neighbor index, edge multiplicity)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .graphs import MultiGraph, genus
 from .divisors import Divisor, _dhar_unburnt
-from .rank import _Session, _rank_geq, _rank_reduced
+from .rank import _Session, _rank_at_least, _rank_of, _rank_reduced
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,16 @@ def _witness_at_degree(sess, g, r, d):
     """Some divisor class of degree exactly d with rank >= r, or None.
 
     Whether such a class exists is monotone in d: adding chips at the base
-    vertex never lowers rank.
+    vertex never lowers rank. Only configurations of size at most d - r
+    can carry rank r: if r(D) >= r, then D - r(q) is winnable and still
+    q-reduced, so the reduced form of D has at least r chips at q.
     """
-    for config in superstable_configs(g, max_size=d):
+    for config in superstable_configs(g, max_size=d - r):
         vec = list(config)
         vec[0] = d - sum(config)
         red = tuple(vec)  # superstable away from base: already reduced
-        if _rank_geq(sess, red, r):
-            exact = _rank_reduced(sess, red)
+        if _rank_at_least(sess, red, r):
+            exact = _rank_of(sess, red)
             return GrdWitness(
                 divisor=Divisor.from_vector(g, vec), degree=d, rank=exact
             )
@@ -134,7 +136,9 @@ def is_hyperelliptic(g: MultiGraph) -> bool:
 
 
 def weierstrass_points(g: MultiGraph):
-    """Vertices P with rank(genus * (P)) >= 1, in canonical order."""
+    """Vertices P with rank(genus * (P)) >= 1, in canonical order. For
+    genus >= 2 that degree is special, and by Riemann-Roch the test is
+    whether K - genus * (P) is winnable."""
     gg = genus(g)
     sess = _Session(g)
     found = []
@@ -142,7 +146,7 @@ def weierstrass_points(g: MultiGraph):
         vec = [0] * len(g.vertices)
         vec[i] = gg
         red = sess.reduced(tuple(vec))
-        if _rank_geq(sess, red, 1):
+        if _rank_at_least(sess, red, 1):
             found.append(label)
     return tuple(found)
 

@@ -1,11 +1,23 @@
 """Divisor rank with verifiable certificates.
 
-rank(D) is computed straight from its definition: search k = 0, 1, 2, ...
-and test, for every effective divisor E of degree k, that D - E is
-equivalent to an effective divisor. A caller that knows a rank-determining
-set may restrict E to it. The per-E test goes through q-reduced
-representatives; results are memoized per call on the reduced form, so
+rank(D) is computed from its definition: search k = 0, 1, 2, ... and
+test, for every effective divisor E of degree k, that D - E is equivalent
+to an effective divisor. A caller that knows a rank-determining set may
+restrict E to it. The per-E test goes through q-reduced representatives;
+the answers "rank >= k" are memoized per call on the reduced form, so
 equivalent branches of the search are shared.
+
+Riemann-Roch for graphs (Baker-Norine 2007) gives
+r(D) = deg D - g + 1 + r(K - D). When g <= deg D <= 2g - 2, K - D has
+the smaller degree and a search deg D - g + 1 levels shallower, so
+rank(), the g^r_d enumeration and weierstrass_points search K - D
+instead. At deg D = g - 1 both searches have the same depth and the dual
+would only cost one more reduction; above 2g - 2 the value deg D - g is
+forced and the direct search audits it. Callers that check an identity
+the duality would assume keep the direct search: riemann_roch_check
+(both sides), rank_with_certificate (its failing evidence is read off
+the direct search), gap_sequence (its gap count follows from
+Riemann-Roch), and metric_rr_check and q_rank.
 
 A divisor with negative rank carries an ordering certificate: the Dhar
 burn order of its q-reduced form always yields a degree g-1 divisor that
@@ -28,7 +40,7 @@ from .divisors import (
 
 
 class _Session:
-    """Call-local memo for reductions and rank-bound queries on one graph.
+    """Call-local memo of rank-bound queries on one graph.
 
     The rank search subtracts chips only at the vertex indices in branch
     (every vertex by default). A proper subset is sound only when it is
@@ -36,7 +48,7 @@ class _Session:
     leaving D - E winnable must imply rank(D) >= k.
     """
 
-    __slots__ = ("graph", "n", "far_order", "reduce_memo", "geq_memo")
+    __slots__ = ("graph", "n", "far_order", "geq_memo")
 
     def __init__(self, graph: MultiGraph, branch=None):
         self.graph = graph
@@ -45,17 +57,12 @@ class _Session:
         if branch is None:
             branch = range(self.n)
         self.far_order = sorted(branch, key=lambda v: -dist[v])
-        self.reduce_memo = {}
         self.geq_memo = {}
 
     def reduced(self, vec_tuple):
-        got = self.reduce_memo.get(vec_tuple)
-        if got is None:
-            vec = list(vec_tuple)
-            reduce_vector(self.graph, vec, 0)
-            got = tuple(vec)
-            self.reduce_memo[vec_tuple] = got
-        return got
+        vec = list(vec_tuple)
+        reduce_vector(self.graph, vec, 0)
+        return tuple(vec)
 
     def probe_order(self, red):
         # Zero-coefficient vertices far from the base fail soonest.
@@ -71,7 +78,8 @@ def _child(sess, red, v):
 
     Removing a chip from a positive coefficient (or from the base vertex,
     whose coefficient is unconstrained) keeps the divisor q-reduced, so
-    only newly indebted vertices need an actual reduction.
+    only newly indebted vertices need an actual reduction, and that one
+    chip of debt is repaid by lending (divisors._lend).
     """
     vec = list(red)
     vec[v] -= 1
@@ -125,9 +133,40 @@ def _rank_reduced(sess, red):
     return k
 
 
+def _dual(sess, red):
+    """(reduced K - D, deg D - g + 1) for a q-reduced D with
+    g <= deg D <= 2g - 2, else (D, 0): in both cases
+    r(D) = r(first) + second, by Riemann-Roch (Baker-Norine 2007)."""
+    gg = genus(sess.graph)
+    deg = sum(red)
+    if not gg <= deg <= 2 * gg - 2:
+        return red, 0
+    degs = sess.graph.degrees()
+    return sess.reduced(tuple(k - 2 - c for k, c in zip(degs, red))), deg - gg + 1
+
+
+def _rank_at_least(sess, red, k):
+    """r(D) >= k for a q-reduced D, searched on K - D when _dual says so."""
+    red, shift = _dual(sess, red)
+    return k - shift < 0 or _rank_geq(sess, red, k - shift)
+
+
+def _rank_of(sess, red):
+    """r(D) for a q-reduced D, searched on K - D when _dual says so."""
+    red, shift = _dual(sess, red)
+    return _rank_reduced(sess, red) + shift
+
+
 def rank(g: MultiGraph, d: Divisor) -> int:
     """The rank of d: -1 if its class has no effective member, else the
-    largest k such that removing any k chips leaves a winnable divisor."""
+    largest k such that removing any k chips leaves a winnable divisor.
+    Searched on K - d when genus <= deg d <= 2 genus - 2 (Riemann-Roch)."""
+    sess = _Session(g)
+    return _rank_of(sess, sess.reduced(tuple(d.to_vector())))
+
+
+def _direct_rank(g: MultiGraph, d: Divisor) -> int:
+    """rank(g, d) by the search on d itself, never through K - d."""
     sess = _Session(g)
     return _rank_reduced(sess, sess.reduced(tuple(d.to_vector())))
 
@@ -265,7 +304,8 @@ def _riemann_roch_report(degree, gg, r_d, r_kd) -> RiemannRochReport:
 
 
 def riemann_roch_check(g: MultiGraph, d: Divisor) -> RiemannRochReport:
-    """Evaluate both sides of r(D) - r(K - D) = deg(D) + 1 - g independently."""
-    r_d = rank(g, d)
-    r_kd = rank(g, canonical_divisor(g) - d)
+    """Evaluate both sides of r(D) - r(K - D) = deg(D) + 1 - g independently,
+    each by the direct search, so the check never assumes what it tests."""
+    r_d = _direct_rank(g, d)
+    r_kd = _direct_rank(g, canonical_divisor(g) - d)
     return _riemann_roch_report(d.degree, genus(g), r_d, r_kd)

@@ -12,19 +12,21 @@ from itertools import combinations, combinations_with_replacement
 from chipfire import MultiGraph
 
 
-def reduced_laplacian_matrix(g: MultiGraph):
+def reduced_laplacian_matrix(g: MultiGraph, root=0):
+    """The Laplacian with the row and column of vertex index root removed."""
     n = len(g.vertices)
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = {v: i - (i > root) for i, v in enumerate(g.vertices)}
+    index[g.vertices[root]] = None
     m = [[0] * (n - 1) for _ in range(n - 1)]
     for u, v in g.edges:
         i, j = index[u], index[v]
-        if i > 0:
-            m[i - 1][i - 1] += 1
-        if j > 0:
-            m[j - 1][j - 1] += 1
-        if i > 0 and j > 0:
-            m[i - 1][j - 1] -= 1
-            m[j - 1][i - 1] -= 1
+        if i is not None:
+            m[i][i] += 1
+        if j is not None:
+            m[j][j] += 1
+        if i is not None and j is not None:
+            m[i][j] -= 1
+            m[j][i] -= 1
     return m
 
 

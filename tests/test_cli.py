@@ -1,8 +1,15 @@
 """The command-line surface: parsing, payloads, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from importlib import resources
 
+from hypothesis import given, settings, strategies as st
+
+import chipfire as cf
 from chipfire import __version__, cli
 from chipfire.cli import CommandResult, main
 from chipfire.experiments import SweepResult
@@ -325,3 +332,92 @@ def test_repeated_main_calls_share_one_parser(capsys, monkeypatch):
             seed = json.loads(out)["findings"][0]["seed"]
             assert seed == (5 if "--seed" in argv else 0), argv
     assert shared[0][1].strip() == __version__
+
+
+# -- --json payloads are data: they parse, carry status and round-trip --------
+
+
+def _round_trip(*argv):
+    """Run main(["--json", *argv]) and return its payload after checking
+    that stdout is one JSON object with a status that matches the exit
+    code, and that json.loads/json.dumps reproduce it unchanged."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--json", *argv])
+    text = out.getvalue()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["status"] in ("ok", "finding", "error")
+    assert code == (1 if payload["status"] == "error" else 0)
+    return payload
+
+
+_COEFFS = st.one_of(
+    st.integers(-2, 3), st.integers(-2, 3), st.sampled_from([True, 1.5, None, "1"])
+)
+
+
+@st.composite
+def _graph_and_divisor(draw):
+    seed = draw(st.integers(0, 10**6))
+    n, genus = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    g = cf.random_multigraph(n, genus, seed=seed)
+    spec = ";".join(f"{u} {v}" for u, v in g.edges)
+    labels = st.sampled_from(list(g.vertices) + ["nowhere"])
+    coeffs = draw(st.dictionaries(labels, _COEFFS, max_size=3))
+    return spec, json.dumps(coeffs)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_graph_and_divisor(), st.booleans())
+def test_rank_json_round_trip(graph_and_divisor, certificate):
+    spec, divisor = graph_and_divisor
+    flags = ["--certificate"] if certificate else []
+    payload = _round_trip("rank", spec, divisor, *flags)
+    assert ("rank" in payload) == (payload["status"] == "ok")
+
+
+_LENGTHS = st.sampled_from(["1", "1/2", "2/3", "3/2", "2"])
+_OFFSETS = st.builds(
+    "{}/{}".format, st.integers(-1, 3), st.integers(0, 3)
+) | st.sampled_from(["0", "1", "abc", None, 0.5])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    st.lists(_LENGTHS, min_size=2, max_size=4),
+    st.lists(
+        st.fixed_dictionaries(
+            {"edge": st.integers(-1, 4), "offset": _OFFSETS, "coeff": _COEFFS}
+        ),
+        max_size=3,
+    ),
+    st.booleans(),
+)
+def test_qrank_json_round_trip(lengths, entries, no_audit):
+    spec = ";".join(f"Q1 Q2 {length}" for length in lengths)
+    flags = ["--no-audit"] if no_audit else []
+    payload = _round_trip("qrank", spec, json.dumps(entries), *flags)
+    assert ("rank" in payload) == (payload["status"] == "ok")
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["gonality", "bn", "subdivision"]),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(0, 10**6),
+)
+def test_sweep_and_replay_json_round_trip(kind, gmax, seeds, seed):
+    if kind == "subdivision":
+        gmax = min(gmax, 2)  # genus 3 audits can take seconds each
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.jsonl")
+        swept = _round_trip(
+            "--seed", str(seed), "sweep", kind,
+            "--gmax", str(gmax), "--seeds", str(seeds), "--out", path,
+        )
+        assert swept["records"] == seeds
+        replayed = _round_trip("replay", path)
+    assert replayed["status"] == "ok" and replayed["records"] == seeds

@@ -293,6 +293,57 @@ def test_rounding_step_differential():
     assert rounded and skipped
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lending_lands_on_the_reduced_form(seed):
+    """A q-reduced D minus one chip at a vertex v where D is zero, the input
+    the rank search hands to reduce_vector, on random multigraphs and their
+    subdivisions with a random root q. Lending must end on the q-reduced
+    form R after exactly t(v) rounds, where C + L t = R and t(q) = 0 come
+    from the oracle's exact solve (the corollary in divisors._lend), and
+    the Dhar loop after it must fire nothing."""
+    rng = random.Random(seed)
+    g = cf.random_multigraph(rng.randint(2, 7), rng.randint(0, 5), seed=seed)
+    g, _ = cf.subdivide(g, rng.randint(1, 4))
+    n = len(g.vertices)
+    q = rng.randrange(n)
+    vec = [rng.randint(-2, 4) for _ in range(n)]
+    divisors.reduce_vector(g, vec, q)
+    v = rng.choice([i for i in range(n) if i != q])
+    vec[v] = 0  # chips removed away from q keep a divisor q-reduced
+    assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, vec), g.vertices[q])
+    start = list(vec)
+    start[v] -= 1
+
+    out = list(start)
+    adj = g.adjacency()
+    rounds = 0
+    while out[v] < 0 and rounds <= 10_000:
+        divisors._lend(adj, out, q, v, n)
+        rounds += 1
+    assert out[v] >= 0, "lending did not stop"
+    assert all(c >= 0 for i, c in enumerate(out) if i != q)
+    assert equivalent_oracle(g, start, out)
+    assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[q])
+    diff = [b - a for i, (a, b) in enumerate(zip(start, out)) if i != q]
+    t = solve_exact(reduced_laplacian_matrix(g, q), diff)
+    t.insert(q, 0)
+    assert all(x.denominator == 1 and x >= 0 for x in t)
+    assert rounds == t[v]
+
+    passes = []
+    real_pass = divisors._dhar_unburnt
+
+    def counted_pass(*args):
+        result = real_pass(*args)
+        passes.append(result[0])
+        return result
+
+    with mock.patch.object(divisors, "_dhar_unburnt", counted_pass):
+        assert divisors.reduce_vector(g, list(start), q) == out
+    assert passes == [[]]  # one pass, and nothing was left unburnt
+
+
 def test_canonical_divisor_quartic():
     g = cf.load_fixture().graph
     assert cf.canonical_divisor(g) == cf.Divisor(g, {"P": 2, "Q1": 1, "Q2": 1})

@@ -8,7 +8,12 @@ import pytest
 
 import chipfire as cf
 
-from oracles import effective_vectors, rank_oracle
+from oracles import (
+    all_small_multigraphs,
+    effective_vectors,
+    rank_oracle,
+    winnable_oracle,
+)
 
 
 def test_min_degree_grd_complete():
@@ -71,17 +76,36 @@ def test_gonality_cycle_is_two(n):
     assert cf.gonality(g) == 2
 
 
+def _oracle_min_degree(g, r):
+    """Least d such that some effective divisor of degree d keeps every
+    removal of r chips winnable, by brute force."""
+    n = len(g.vertices)
+    for d in itertools.count(r):
+        for vec in effective_vectors(n, d):
+            if all(
+                winnable_oracle(g, [a - b for a, b in zip(vec, e)])
+                for e in effective_vectors(n, r)
+            ):
+                return d
+
+
 def test_gonality_matches_oracle_small():
     for i in range(10):
         g = cf.random_multigraph(2 + i % 3, i % 3, seed=60 + i)
-        value = cf.gonality(g)
-        n = len(g.vertices)
-        oracle = next(
-            d
-            for d in range(1, cf.genus(g) + 2)
-            if any(rank_oracle(g, vec) >= 1 for vec in effective_vectors(n, d))
-        )
-        assert value == oracle
+        assert cf.gonality(g) == _oracle_min_degree(g, 1)
+
+
+def test_min_degree_grd_matches_oracle_exhaustive_small():
+    """The g^r_d enumeration stops at configurations of size d - r; every
+    small graph must keep its oracle minimal degrees for r = 1 (gonality)
+    and r = 2, including graphs whose only witnesses hold exactly r chips
+    at the base vertex."""
+    for g in all_small_multigraphs(max_vertices=4, max_edges=5):
+        assert cf.gonality(g) == _oracle_min_degree(g, 1), g
+        if len(g.edges) <= 4:  # the r = 2 oracle is ten times slower
+            witness = cf.min_degree_grd(g, 2, cf.genus(g) + 2)
+            assert witness.degree == _oracle_min_degree(g, 2), g
+            assert witness.rank == 2
 
 
 def test_hyperelliptic_banana_and_complete():

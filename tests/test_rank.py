@@ -1,17 +1,22 @@
 """The rank engine: values, certificates, ordering divisors, Riemann-Roch."""
 
+import importlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
-from chipfire.rank import _Session, _rank_reduced
+from chipfire.rank import _Session, _direct_rank, _rank_reduced
 
 from oracles import all_small_multigraphs, rank_oracle
 
 from test_divisors import random_divisor, random_function
+
+# The package re-exports the function rank under the module's name.
+rank_module = importlib.import_module("chipfire.rank")
 
 
 def test_rank_banana_hyperelliptic_class():
@@ -299,3 +304,38 @@ def test_rr_identity_random(seed):
     g = cf.random_multigraph(2 + seed % 5, seed % 6, seed=seed)
     d = random_divisor(g, rng, -2, 3)
     assert cf.riemann_roch_check(g, d).equal
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6))
+def test_duality_differential(seed):
+    """rank() goes through K - D exactly when g <= deg D <= 2g - 2. Its
+    value must match the direct search and the oracle, and the search must
+    start from K - D inside that range and from D outside it; above 2g - 2
+    that start is the high-degree audit."""
+    rng = random.Random(seed)
+    g = cf.random_multigraph(2 + seed % 3, 1 + seed % 3, seed=seed)
+    gg = cf.genus(g)
+    n = len(g.vertices)
+    vec = [0] * n
+    for _ in range(rng.randint(0, 2 * gg + 1)):
+        vec[rng.randrange(n)] += 1
+    vec[rng.randrange(n)] -= rng.randint(0, 2)
+    d = cf.Divisor.from_vector(g, vec)
+    deg = d.degree
+
+    searched = []
+    real_search = rank_module._rank_geq
+
+    def recorded_search(sess, red, k):
+        searched.append(red)
+        return real_search(sess, red, k)
+
+    with mock.patch.object(rank_module, "_rank_geq", recorded_search):
+        value = cf.rank(g, d)
+    assert value == _direct_rank(g, d) == rank_oracle(g, vec)
+    dual = gg <= deg <= 2 * gg - 2
+    start = cf.canonical_divisor(g) - d if dual else d
+    if searched:
+        assert searched[0] == tuple(cf.q_reduce(g, start, g.vertices[0]).to_vector())
+    assert searched or deg <= 2 * gg - 2, "the high-degree audit did not run"

@@ -104,6 +104,18 @@ def test_table_rejects_unknown_vertex(quartic):
         SpecializationTable(target=quartic.graph, assignments={"pt": "nowhere"})
 
 
+@pytest.mark.parametrize("vertex", [["a"], {"a": 1}, {"a"}])
+def test_table_rejects_unhashable_vertex(vertex):
+    """An unhashable assignment names no vertex: a typed error, not a
+    TypeError from the graph's vertex lookup."""
+    g = cf.cycle_graph(3)
+    with pytest.raises(UnassignedPointError):
+        SpecializationTable(target=g, assignments={"p": vertex})
+    assert not g.has_vertex(vertex)
+    with pytest.raises(cf.GraphError):
+        g.index(vertex)
+
+
 def test_fixture_round_trip_from_dict(quartic):
     data = {
         "graph": "a b\nb c\nc a",
