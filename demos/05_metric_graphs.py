@@ -1,34 +1,39 @@
 #!/usr/bin/env python3
 """Metric graphs with rational edge lengths and divisors at rational points.
 
-Ranks are computed by rescaling to integer lengths and cutting edges into
-unit pieces until the divisor sits on vertices; the combinatorial engine
-does the rest, and a second uniform subdivision re-checks the value. The
-interesting phenomenon: interior points of a banana graph carry positive
-rank on a whole middle interval, so the metric graph has infinitely many
+Ranks are computed on the model itself: metric Dhar burning moves chips
+across whole segments between the special points in one exact step, so a
+point at denominator 10^6 costs what a midpoint costs, and a second
+computation at twice the scale re-checks the value. The interesting
+phenomenon: interior points of a banana graph carry positive rank on a
+whole middle interval, so the metric graph has infinitely many
 Weierstrass points even though the underlying graph has none.
 """
 
+import time
 from fractions import Fraction as F
 
 import chipfire as cf
 
 print("=" * 66)
-print("Unit models")
+print("A point at denominator 10^6")
 print("=" * 66)
 
-path = cf.path_graph(3)
-qg = cf.QGraph(path, [F(1, 2), F(1, 3)])
-um = cf.canonical_unit_model(qg)
-print("lengths (1/2, 1/3): scale", um.scale, "->", len(um.graph.edges),
-      "unit edges")
+b4 = cf.QGraph.unit(cf.banana_graph(4))
+for j in (333333, 333334):
+    p = b4.point(0, F(j, 10**6))
+    started = time.perf_counter()
+    value = cf.q_rank(b4, cf.QDivisor(b4, {p: 3}))
+    elapsed = (time.perf_counter() - started) * 1000
+    print(f"banana(4), 3 chips at {j}/10^6 along one edge: rank {value}"
+          f" in {elapsed:.1f} ms")
+print("(a unit model would cut every edge into 10^6 pieces)")
 print()
 
 print("=" * 66)
 print("Ranks of rational divisors")
 print("=" * 66)
 
-b4 = cf.QGraph.unit(cf.banana_graph(4))
 midpoint = b4.point(0, F(1, 2))
 d = cf.QDivisor(b4, {midpoint: 3})
 print("banana(4), 3 chips at the midpoint of one edge:", cf.q_rank(b4, d))

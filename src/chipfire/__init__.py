@@ -87,9 +87,7 @@ from .metric import (
     QDivisor,
     QGraph,
     QPoint,
-    UnitModel,
     canonical_qdivisor,
-    canonical_unit_model,
     divisor_of_function,
     metric_rr_check,
     norine_scan,

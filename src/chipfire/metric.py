@@ -5,16 +5,19 @@ edge; its edge-list text is the graph format with a length column, read
 by the same parser. QDivisor shares Divisor's arithmetic core and differs
 only in its points: model vertices or rational positions on edges.
 
-Ranks of rational divisors are computed by rescaling all lengths to
-integers, subdividing every edge into unit pieces so the divisor becomes
-vertex-supported, and handing the result to the combinatorial rank
-engine. Graph rank on such a unit model equals metric rank
-(Hladky-Kral-Norine 2013), and the vertex set of the loopless model is
-rank-determining (Luo 2011), so the rank search subtracts chips only at
-the model vertices, not at every unit-model vertex. An extra uniform
-subdivision still re-checks at runtime that the value is
-model-independent. All arithmetic is exact rational; there is no
-floating point anywhere in this module.
+Ranks of rational divisors are computed on the model itself. Lengths and
+support offsets are cleared to integers by their least common
+denominator, and q-reduction runs metric Dhar burning (Luo,
+"Rank-determining sets of metric graphs", 2011) on the segments between
+the special points: the model vertices and the support. A firing moves chips
+across a whole segment in one exact step, so the cost depends on edges
+and chips, not on denominators. The reduced divisors agree with those of
+the unit-edge subdivision (Hladky-Kral-Norine, "Rank of divisors on
+tropical curves", 2013), so the graph rank search of rank.py runs on
+them, subtracting chips only at the model vertices, a rank-determining
+set (Luo 2011). A second computation at twice the scale re-checks at
+runtime that the value is model-independent. All arithmetic is exact;
+floats are refused, not coerced.
 """
 
 from __future__ import annotations
@@ -29,18 +32,25 @@ from .errors import (
     MetricError,
     NonIntegerSlopeError,
     SubdivisionAuditError,
+    UnboundVertexError,
     UnrepresentablePointError,
 )
-from .graphs import (
-    MultiGraph,
-    banana_graph,
-    genus,
-    _parse_edge_list,
-    _subdivision_label,
-    subdivide_edges,
-)
-from .divisors import Divisor, _DivisorCore, canonical_divisor
+from .graphs import MultiGraph, banana_graph, genus, _parse_edge_list
+from .divisors import _DivisorCore, canonical_divisor
 from .rank import RiemannRochReport, _Session, _rank_reduced, _riemann_roch_report
+
+
+def _exact(x, what) -> Fraction:
+    """x as an exact rational. A float is a binary approximation (0.1 is
+    3602879701896397/2**55), so floats and bools are refused, not coerced."""
+    if isinstance(x, (float, bool)):
+        raise MetricError(
+            f"{what} must be an int, Fraction or string, got {x!r}"
+        )
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MetricError(f"{what} must be a rational number, got {x!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,7 @@ class QGraph:
     __slots__ = ("model", "lengths")
 
     def __init__(self, model: MultiGraph, lengths):
-        lengths = tuple(Fraction(l) for l in lengths)
+        lengths = tuple(_exact(l, "edge length") for l in lengths)
         if len(lengths) != len(model.edges):
             raise MetricError("one length per model edge required")
         if any(l <= 0 for l in lengths):
@@ -92,7 +102,7 @@ class QGraph:
         return genus(self.model)
 
     def scaled(self, k) -> "QGraph":
-        k = Fraction(k)
+        k = _exact(k, "scale factor")
         if k <= 0:
             raise MetricError("scale factor must be positive")
         return QGraph(self.model, [l * k for l in self.lengths])
@@ -104,9 +114,9 @@ class QGraph:
     def point(self, edge: int, offset) -> QPoint:
         """The point at the given rational offset along an edge, measured from
         the edge's first endpoint; endpoint offsets collapse to vertices."""
-        if not 0 <= edge < len(self.model.edges):
-            raise MetricError(f"no edge with index {edge}")
-        offset = Fraction(offset)
+        if type(edge) is not int or not 0 <= edge < len(self.model.edges):
+            raise MetricError(f"no edge with index {edge!r}")
+        offset = _exact(offset, "offset")
         length = self.lengths[edge]
         if offset < 0 or offset > length:
             raise MetricError(f"offset {offset} outside [0, {length}]")
@@ -160,96 +170,178 @@ def canonical_qdivisor(qg: QGraph) -> QDivisor:
     )
 
 
-# -- unit models ---------------------------------------------------------
+# -- native reduction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitModel:
-    """A unit-edge-length model of a QGraph after scaling lengths by an integer.
+def _on_grid(x: Fraction, scale: int) -> int:
+    units = x * scale
+    if units.denominator != 1:
+        raise UnrepresentablePointError(f"{x} is not on the 1/{scale} grid")
+    return int(units)
 
-    Rational points whose scaled position is integral map injectively to
-    vertices of the unit graph.
+
+def _burn(adj, chips, source):
+    """Burn the segment graph from source; returns (burnt flags, threat).
+
+    A point catches fire once more segments lead into it from burnt points
+    than it holds chips; q = point 0 never does unless it is the source.
+    threat[a] counts the segments from burnt points into a.
+    """
+    burnt = bytearray(len(chips))
+    burnt[source] = 1
+    threat = [0] * len(chips)
+    stack = [source]
+    while stack:
+        for seg in adj[stack.pop()]:
+            b = seg[0]
+            if not burnt[b]:
+                threat[b] += 1
+                if threat[b] > chips[b] and b:
+                    burnt[b] = 1
+                    stack.append(b)
+    return burnt, threat
+
+
+class _MetricSession(_Session):
+    """rank._Session on a QGraph whose lengths are integers at a given scale.
+
+    A search state is the m model-vertex coefficients followed by one tuple
+    of sorted (edge, position, chips) triples for the interior support;
+    positions count units of 1/scale from the edge's first endpoint. The
+    search branches over the model vertices, nearest to vertex 0 last by
+    metric distance, which is hop distance on the unit-edge subdivision.
     """
 
-    qgraph: QGraph
-    graph: MultiGraph
-    scale: int
+    __slots__ = ("scale", "ends", "lengths")
 
-    def vertex_of(self, point: QPoint) -> str:
-        if point.vertex is not None:
-            return point.vertex
-        position = point.offset * self.scale
-        if position.denominator != 1:
-            raise UnrepresentablePointError(
-                f"{point!r} is not on the 1/{self.scale} grid"
-            )
-        j = int(position)
-        u, v = self.qgraph.model.edges[point.edge]
-        units = int(self.qgraph.lengths[point.edge] * self.scale)
-        if j == 0:
-            return u
-        if j == units:
-            return v
-        return _subdivision_label(u, v, point.edge, j)
+    def __init__(self, qg: QGraph, scale: int):
+        model = qg.model
+        ends = tuple((model.index(u), model.index(v)) for u, v in model.edges)
+        dist = [math.inf] * len(model.vertices)
+        dist[0] = 0
+        changed = True
+        while changed:  # Bellman-Ford; a model has few vertices
+            changed = False
+            for (u, v), l in zip(ends, qg.lengths):
+                for a, b in ((u, v), (v, u)):
+                    if dist[a] + l < dist[b]:
+                        dist[b] = dist[a] + l
+                        changed = True
+        super().__init__(model, dist=dist)
+        self.scale = scale
+        self.ends = ends
+        self.lengths = tuple(_on_grid(l, scale) for l in qg.lengths)
 
-    def divisor_to(self, d: QDivisor) -> Divisor:
-        coeffs = {}
-        for point, c in d.items():
-            label = self.vertex_of(point)
-            coeffs[label] = coeffs.get(label, 0) + c
-        return Divisor(self.graph, coeffs)
+    def state(self, d: QDivisor):
+        vertex = [0] * self.n
+        interior = []
+        for p, c in d.items():  # interior points come sorted by (edge, offset)
+            if p.vertex is not None:
+                vertex[self.graph.index(p.vertex)] += c
+            else:
+                interior.append((p.edge, _on_grid(p.offset, self.scale), c))
+        return (*vertex, tuple(interior))
+
+    def degree(self, red):
+        return sum(red[:-1]) + sum(c for _, _, c in red[-1])
+
+    def reduced(self, vec_tuple):
+        """The q-reduced state (q = vertex 0) equivalent to vec_tuple.
+
+        The steps of divisors.reduce_vector on the segments between special
+        points: while a point away from q is in debt, lend to the first such
+        point (burn outward from it with q fireproof); then Dhar-burn from
+        q, the only step that declares a state reduced. Unfiring the burnt
+        set is the same move as firing its complement, so either way the
+        unburnt set fires toward the burnt one, across the shortest
+        frontier segment: one step here for as many unit-edge firings as
+        that segment is long, since every point it passes holds no chips.
+        """
+        vertex, interior = vec_tuple[:-1], vec_tuple[-1]
+        while True:
+            chips, adj = self._segments(vertex, interior)
+            source = next((a for a in range(1, len(chips)) if chips[a] < 0), 0)
+            burnt, threat = _burn(adj, chips, source)
+            if not source and all(burnt):
+                return (*vertex, interior)
+            vertex, interior = self._fire_unburnt(chips, adj, burnt, threat, interior)
+
+    def _segments(self, vertex, interior):
+        """Chips and segments of the special points: the model vertices, then
+        the interior points in order. adj[a] lists, per segment from a to
+        b, (b, length, edge, position of a, +1 or -1 toward b)."""
+        chips = list(vertex)
+        adj = [[] for _ in chips]
+        k = 0
+        for e, (u, v) in enumerate(self.ends):
+            a, at = u, 0
+            while k < len(interior) and interior[k][0] == e:
+                _, pos, c = interior[k]
+                b = len(chips)
+                chips.append(c)
+                adj.append([(a, pos - at, e, pos, -1)])
+                adj[a].append((b, pos - at, e, at, 1))
+                a, at = b, pos
+                k += 1
+            length = self.lengths[e]
+            adj[a].append((v, length - at, e, at, 1))
+            adj[v].append((a, length - at, e, length, -1))
+        return chips, adj
+
+    def _fire_unburnt(self, chips, adj, burnt, threat, interior):
+        """Every segment from an unburnt point a to a burnt one carries one
+        chip from a a distance t along it, t the shortest such segment.
+
+        a sends threat[a] chips and did not burn, so it keeps a nonnegative
+        count unless a is q, which goes into debt only while lending.
+        """
+        moves = [
+            (a, seg)
+            for a, segs in enumerate(adj)
+            if threat[a] and not burnt[a]
+            for seg in segs
+            if burnt[seg[0]]
+        ]
+        t = min(seg[1] for _, seg in moves)
+        landed = []
+        for a, (b, length, e, pos, step) in moves:
+            chips[a] -= 1
+            if length == t:
+                chips[b] += 1
+            else:
+                landed.append((e, pos + step * t, 1))
+        m = self.n
+        kept = [(e, pos, c) for (e, pos, _), c in zip(interior, chips[m:]) if c]
+        return tuple(chips[:m]), tuple(sorted(kept + landed))
 
 
-def _unit_model(qg: QGraph, scale: int) -> UnitModel:
-    counts = []
-    for l in qg.lengths:
-        scaled = l * scale
-        if scaled.denominator != 1:
-            raise MetricError(f"scale {scale} does not clear length {l}")
-        counts.append(int(scaled))
-    graph, _ = subdivide_edges(qg.model, counts)
-    return UnitModel(qgraph=qg, graph=graph, scale=scale)
-
-
-def _clearing_scale(qg: QGraph, points=()) -> int:
-    """Least integer scale at which every edge length and the offset of
-    every given interior point become integers."""
-    return math.lcm(
-        *(l.denominator for l in qg.lengths),
-        *(p.offset.denominator for p in points if p.vertex is None),
-    )
-
-
-def canonical_unit_model(qg: QGraph) -> UnitModel:
-    """Scale by the least common multiple of the length denominators and cut
-    every edge into unit pieces."""
-    return _unit_model(qg, _clearing_scale(qg))
-
-
-def _unit_model_rank(um: UnitModel, d: QDivisor) -> int:
-    # subdivide_edges lists the model vertices first, and MultiGraph rejects
-    # loop edges, so indices 0..m-1 are the vertex set of a loopless model,
-    # which is what Luo's rank-determining theorem requires.
-    sess = _Session(um.graph, range(len(um.qgraph.model.vertices)))
-    return _rank_reduced(sess, sess.reduced(tuple(um.divisor_to(d).to_vector())))
+def _rank_at_scale(qg: QGraph, d: QDivisor, scale: int) -> int:
+    sess = _MetricSession(qg, scale)
+    return _rank_reduced(sess, sess.reduced(sess.state(d)))
 
 
 def q_rank(qg: QGraph, d: QDivisor, audit: bool = True) -> int:
-    """Rank of a rational divisor, via the coarsest unit model carrying its
-    support on vertices.
+    """Rank of a rational divisor, reduced on the model itself.
 
-    The rank search branches only over the model vertices, a
-    rank-determining set (Luo 2011), instead of every unit-model vertex;
-    graph rank on the unit model equals metric rank (Hladky-Kral-Norine
-    2013). With audit on (the default) the rank is recomputed on a uniform
-    refinement and must agree; disagreement raises SubdivisionAuditError.
+    Lengths and support offsets are cleared to integers by their least
+    common denominator N, and reduction runs metric Dhar burning (Luo 2011)
+    on the segments between the special points, so its cost depends on
+    edges and chips, not on N. Reduced divisors, and so ranks, agree with
+    those of the unit-edge subdivision at scale N (Hladky-Kral-Norine 2013),
+    and the rank search branches only over the model vertices, a
+    rank-determining set (Luo 2011). With audit on (the default) the rank
+    is recomputed at scale 2N and must agree; disagreement raises
+    SubdivisionAuditError.
     """
-    scale = _clearing_scale(qg, d.support())
-    um = _unit_model(qg, scale)
-    value = _unit_model_rank(um, d)
+    if d.qgraph is not qg and d.qgraph != qg:
+        raise UnboundVertexError("divisor is bound to a different metric graph")
+    scale = math.lcm(
+        *(l.denominator for l in qg.lengths),
+        *(p.offset.denominator for p in d.support() if p.vertex is None),
+    )
+    value = _rank_at_scale(qg, d, scale)
     if audit:
-        um2 = _unit_model(qg, 2 * scale)
-        value2 = _unit_model_rank(um2, d)
+        value2 = _rank_at_scale(qg, d, 2 * scale)
         if value2 != value:
             raise SubdivisionAuditError(
                 f"rank {value} at scale {scale} but {value2} at scale {2 * scale}"
@@ -278,7 +370,10 @@ class PLFunction:
         for edge in range(len(model.edges)):
             if edge not in segments:
                 raise MetricError(f"edge {edge} missing from function data")
-            pts = [(Fraction(x), Fraction(y)) for x, y in segments[edge]]
+            pts = [
+                (_exact(x, "breakpoint offset"), _exact(y, "breakpoint value"))
+                for x, y in segments[edge]
+            ]
             if len(pts) < 2:
                 raise MetricError(f"edge {edge} needs at least two breakpoints")
             length = qgraph.lengths[edge]
@@ -421,7 +516,7 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     """
     import random
 
-    eps = Fraction(eps)
+    eps = _exact(eps, "eps")
     if eps <= 0:
         raise MetricError("eps must be positive")
     if eps >= min(qg.lengths):

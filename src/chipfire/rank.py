@@ -46,14 +46,21 @@ class _Session:
     (every vertex by default). A proper subset is sound only when it is
     rank-determining: every effective E of degree k supported on it
     leaving D - E winnable must imply rank(D) >= k.
+
+    dist orders the branch set, farthest from vertex 0 first (hop distance
+    by default). A state is a tuple whose first n entries are the vertex
+    coefficients; reduced and degree are the only operations that read the
+    rest, and metric._MetricSession overrides them to carry the interior
+    support of a divisor on a metric graph in one more entry.
     """
 
     __slots__ = ("graph", "n", "far_order", "geq_memo")
 
-    def __init__(self, graph: MultiGraph, branch=None):
+    def __init__(self, graph: MultiGraph, branch=None, dist=None):
         self.graph = graph
         self.n = len(graph.vertices)
-        dist = graph.distance_layers(0)[0]
+        if dist is None:
+            dist = graph.distance_layers(0)[0]
         if branch is None:
             branch = range(self.n)
         self.far_order = sorted(branch, key=lambda v: -dist[v])
@@ -63,6 +70,9 @@ class _Session:
         vec = list(vec_tuple)
         reduce_vector(self.graph, vec, 0)
         return tuple(vec)
+
+    def degree(self, red):
+        return sum(red)
 
     def probe_order(self, red):
         # Zero-coefficient vertices far from the base fail soonest.
@@ -118,7 +128,7 @@ def _rank_reduced(sess, red):
     """Exact rank of a q-reduced coefficient tuple."""
     if red[0] < 0:
         return -1
-    deg = sum(red)
+    deg = sess.degree(red)
     two_g_minus_2 = 2 * genus(sess.graph) - 2
     if deg > two_g_minus_2:
         forced = deg - genus(sess.graph)

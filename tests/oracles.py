@@ -150,3 +150,34 @@ def _bounded_vectors(slots, total):
     for first in range(total + 1):
         for rest in _bounded_vectors(slots - 1, total - first):
             yield (first,) + rest
+
+
+def unit_model_oracle(qg, scale):
+    """The unit-edge subdivision of a QGraph at an integer scale, and a map
+    from its rational points to their vertex labels.
+
+    Every edge of scaled length l becomes a path of l unit edges; model
+    vertices keep their labels and come first. A point whose scaled
+    position is not an integer raises UnrepresentablePointError.
+    """
+    from chipfire import MetricError, UnrepresentablePointError, subdivide_edges
+    from chipfire.graphs import _subdivision_label
+
+    counts = []
+    for length in qg.lengths:
+        units = length * scale
+        if units.denominator != 1:
+            raise MetricError(f"scale {scale} does not clear length {length}")
+        counts.append(int(units))
+    graph, _ = subdivide_edges(qg.model, counts)
+
+    def vertex_of(point):
+        if point.vertex is not None:
+            return point.vertex
+        position = point.offset * scale
+        if position.denominator != 1:
+            raise UnrepresentablePointError(f"{point!r} is not on the 1/{scale} grid")
+        u, v = qg.model.edges[point.edge]
+        return _subdivision_label(u, v, point.edge, int(position))
+
+    return graph, vertex_of

@@ -160,6 +160,20 @@ def test_criterion_7_norine_scan():
     _report("07 norine-scan", ok and elapsed < 60.0, started)
 
 
+def test_criterion_7_norine_scan_at_denominator_10_6():
+    """3(P) across both ends of the middle third at denominator 10^6, where a
+    unit model would have a million vertices per edge; audited ranks, and
+    metric Riemann-Roch on each."""
+    started = time.perf_counter()
+    qg = cf.QGraph.unit(cf.banana_graph(4))
+    expected = {333333: 0, 333334: 1, 666666: 1, 666667: 0}
+    ok = True
+    for j, value in expected.items():
+        d = cf.QDivisor(qg, {qg.point(0, Fraction(j, 10**6)): 3})
+        ok = ok and cf.q_rank(qg, d) == value and cf.metric_rr_check(qg, d).equal
+    _report("07 norine-scan-10^6", ok, started)
+
+
 def test_criterion_8_brill_noether_100():
     started = time.perf_counter()
     result = cf.bn_existence_sweep(

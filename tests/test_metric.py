@@ -1,4 +1,5 @@
-"""Metric graphs: unit models, rational ranks, function divisors, probes."""
+"""Metric graphs: native reduction against the unit-model oracle, rational
+ranks, function divisors, probes."""
 
 import math
 import random
@@ -6,9 +7,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
 from chipfire import DiscontinuityError, MetricError, NonIntegerSlopeError
+from chipfire.divisors import reduce_vector
+from chipfire.metric import _MetricSession
+
+from oracles import unit_model_oracle
 
 
 F = Fraction
@@ -36,63 +42,126 @@ def random_pl_function(qg, rng):
     return cf.PLFunction(qg, segments)
 
 
-# -- unit models ---------------------------------------------------------
+# -- unit models (the test oracle) ------------------------------------------------
 
 
 def test_unit_model_identity():
     qg = cf.QGraph.unit(cf.banana_graph(3))
-    um = cf.canonical_unit_model(qg)
-    assert um.scale == 1
-    assert um.graph == qg.model
+    graph, _ = unit_model_oracle(qg, 1)
+    assert graph == qg.model
 
 
 def test_unit_model_halves():
     # scaling (1/2, 1/2, 1/2) by the denominator lcm gives unit lengths
     qg = cf.QGraph(cf.banana_graph(3), [F(1, 2)] * 3)
-    um = cf.canonical_unit_model(qg)
-    assert um.scale == 2
-    assert len(um.graph.vertices) == 2
-    assert len(um.graph.edges) == 3
-    assert cf.genus(um.graph) == 2
+    with pytest.raises(MetricError):
+        unit_model_oracle(qg, 1)
+    graph, _ = unit_model_oracle(qg, 2)
+    assert len(graph.vertices) == 2
+    assert len(graph.edges) == 3
+    assert cf.genus(graph) == 2
 
 
 def test_unit_model_quarter_points():
     # supports at quarter points force scale 4 and four pieces per edge
     qg = cf.QGraph(cf.banana_graph(3), [F(1, 2)] * 3)
-    d = cf.QDivisor(qg, {qg.point(0, F(1, 8)): 1})
+    p = qg.point(0, F(1, 8))
+    d = cf.QDivisor(qg, {p: 1})
     assert cf.q_rank(qg, d) == 0
-    um = cf.canonical_unit_model(qg.scaled(4))
-    assert um.scale == 1
-    assert len(um.graph.edges) == 6
+    graph, _ = unit_model_oracle(qg.scaled(4), 1)
+    assert len(graph.edges) == 6
+    graph, vertex_of = unit_model_oracle(qg, 8)
+    assert cf.rank(graph, cf.Divisor(graph, {vertex_of(p): 1})) == 0
 
 
 def test_unit_model_mixed_denominators():
     path = cf.path_graph(3)
     qg = cf.QGraph(path, [F(1, 2), F(1, 3)])
-    um = cf.canonical_unit_model(qg)
-    assert um.scale == 6
-    assert len(um.graph.edges) == 3 + 2
+    graph, _ = unit_model_oracle(qg, 6)
+    assert len(graph.edges) == 3 + 2
 
 
 def test_unit_model_vertex_of_grid_points():
     qg = cf.QGraph.unit(cf.banana_graph(4))
     p = qg.point(2, F(1))  # endpoint collapses to Q2
     assert p.vertex == "Q2"
-    um6 = cf.canonical_unit_model(cf.QGraph(qg.model, [F(5, 6), F(1), F(1), F(1)]))
-    assert um6.vertex_of(p) == "Q2"
+    qg6 = cf.QGraph(qg.model, [F(5, 6), F(1), F(1), F(1)])
+    graph, vertex_of = unit_model_oracle(qg6, 6)
+    assert vertex_of(p) == "Q2"
     # offset 1/3 at scale 6 is the second unit vertex on edge 0's path:
     # two unit steps from Q1 and three from Q2
-    label = um6.vertex_of(um6.qgraph.point(0, F(1, 3)))
+    label = vertex_of(qg6.point(0, F(1, 3)))
     for end, steps in (("Q1", 2), ("Q2", 3)):
-        dist, _ = um6.graph.distance_layers(um6.graph.index(end))
-        assert dist[um6.graph.index(label)] == steps
+        dist, _ = graph.distance_layers(graph.index(end))
+        assert dist[graph.index(label)] == steps
 
 
 def test_unit_model_rejects_off_grid_point():
     qg = cf.QGraph.unit(cf.banana_graph(3))
-    um = cf.canonical_unit_model(qg)
+    p = qg.point(0, F(1, 3))
+    _, vertex_of = unit_model_oracle(qg, 1)
     with pytest.raises(cf.UnrepresentablePointError):
-        um.vertex_of(qg.point(0, F(1, 3)))
+        vertex_of(p)
+    with pytest.raises(cf.UnrepresentablePointError):
+        _MetricSession(qg, 1).state(cf.QDivisor(qg, {p: 1}))
+
+
+# -- native reduction against the unit model ------------------------------------
+
+
+@st.composite
+def metric_divisors(draw):
+    """A QGraph on 2-5 vertices with length denominators 1-3, and a divisor
+    of mixed sign at points with offset denominators 1-3, debts at interior
+    points included."""
+    n, extra = draw(st.integers(2, 5)), draw(st.integers(0, 2))
+    g = cf.random_multigraph(n, extra, seed=draw(st.integers(0, 10**6)))
+    lengths = [F(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in g.edges]
+    qg = cf.QGraph(g, lengths)
+    coeffs = {}
+    for c in draw(st.lists(st.integers(-3, 3), min_size=2, max_size=5)):
+        edge = draw(st.integers(0, len(g.edges) - 1))
+        den = draw(st.integers(1, 3))
+        offset = F(draw(st.integers(0, int(lengths[edge] * den))), den)
+        point = qg.point(edge, offset)
+        coeffs[point] = coeffs.get(point, 0) + c
+    return qg, cf.QDivisor(qg, coeffs)
+
+
+def _clearing_scale(qg, d):
+    return math.lcm(
+        *(l.denominator for l in qg.lengths),
+        *(p.offset.denominator for p in d.support() if p.vertex is None),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(metric_divisors())
+def test_native_reduction_matches_unit_model(case):
+    """Reduction on the model's segments is bit-identical to reduce_vector
+    on the unit-edge subdivision, and q_rank equals the unbranched rank()
+    there (Hladky-Kral-Norine 2013)."""
+    qg, d = case
+    scale = _clearing_scale(qg, d)
+    graph, vertex_of = unit_model_oracle(qg, scale)
+
+    def unit_vector(items):
+        vec = [0] * len(graph.vertices)
+        for point, c in items:
+            vec[graph.index(vertex_of(point))] += c
+        return vec
+
+    sess = _MetricSession(qg, scale)
+    red = sess.reduced(sess.state(d))
+    model = qg.model.vertices
+    native = [(qg.vertex_point(v), c) for v, c in zip(model, red[:-1])]
+    native += [(qg.point(e, F(pos, scale)), c) for e, pos, c in red[-1]]
+    expected = unit_vector(d.items())
+    reduce_vector(graph, expected, 0)
+    assert unit_vector(native) == expected
+    if d.degree <= 2 * qg.genus:
+        unit_d = cf.Divisor.from_vector(graph, unit_vector(d.items()))
+        assert cf.q_rank(qg, d) == cf.rank(graph, unit_d)
 
 
 # -- q_rank ----------------------------------------------------------------
@@ -124,6 +193,17 @@ def test_q_rank_vertex_supported_matches_graph_rank():
         d = cf.Divisor(g, coeffs)
         qd = cf.QDivisor(qg, {qg.vertex_point(v): c for v, c in coeffs.items()})
         assert cf.q_rank(qg, qd) == cf.rank(g, d)
+
+
+def test_q_rank_rejects_divisor_of_another_qgraph():
+    # same model, other lengths: offset 1/2 of a length-2 edge is no point
+    # of the length-1 edge it would be read on
+    long = cf.QGraph(cf.banana_graph(4), [2, 1, 1, 1])
+    short = cf.QGraph.unit(cf.banana_graph(4))
+    d = cf.QDivisor(long, {long.point(0, F(1, 2)): 3})
+    with pytest.raises(cf.UnboundVertexError):
+        cf.q_rank(short, d)
+    assert cf.q_rank(cf.QGraph(cf.banana_graph(4), [2, 1, 1, 1]), d) == cf.q_rank(long, d)
 
 
 def test_q_rank_invariant_under_integer_scaling():
@@ -361,6 +441,59 @@ def test_serialize_qgraph_round_trip():
     qg = cf.QGraph(cf.banana_graph(3), [F(1, 2), F(2, 3), F(1)])
     again = cf.parse_qgraph(cf.serialize_qgraph(qg))
     assert again == qg
+
+
+_PATH = cf.QGraph.unit(cf.path_graph(2))
+_BANANA = cf.QGraph.unit(cf.banana_graph(4))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cf.QGraph(cf.banana_graph(3), [1, 0.5, 1]),
+        lambda: cf.QGraph(cf.banana_graph(3), [1, True, 1]),
+        lambda: _BANANA.point(0, 0.1),
+        lambda: _BANANA.point(0, True),
+        lambda: _BANANA.point(0.0, F(1, 2)),
+        lambda: _BANANA.point(True, F(1, 2)),
+        lambda: cf.QDivisor(_BANANA, {cf.QPoint(edge=0, offset=0.25): 1}),
+        lambda: _BANANA.scaled(2.0),
+        lambda: cf.PLFunction(_PATH, {0: [(0, 0), (1, 1.0)]}),
+        lambda: cf.PLFunction(_PATH, {0: [(0.0, 0), (1, 0)]}),
+        lambda: cf.semicontinuity_probe(
+            _BANANA, cf.QDivisor(_BANANA, {}), eps=0.1, samples=1, seed=0
+        ),
+    ],
+    ids=[
+        "length-float",
+        "length-bool",
+        "offset-float",
+        "offset-bool",
+        "edge-float",
+        "edge-bool",
+        "qpoint-float",
+        "scale-float",
+        "breakpoint-value-float",
+        "breakpoint-offset-float",
+        "eps-float",
+    ],
+)
+def test_metric_inputs_refuse_floats_and_bools(make):
+    """A float is a binary approximation (0.1 would become
+    3602879701896397/36028797018963968), and a bool is no length or edge
+    index; both are refused rather than coerced."""
+    with pytest.raises(MetricError):
+        make()
+
+
+def test_metric_inputs_accept_exact_rationals():
+    assert _BANANA.point(0, "1/3") == _BANANA.point(0, F(1, 3))
+    assert _BANANA.scaled(2) == _BANANA.scaled(F(4, 2))
+    assert cf.QGraph(cf.banana_graph(3), ["1/2", F(1, 2), 1]).lengths == (
+        F(1, 2),
+        F(1, 2),
+        F(1),
+    )
 
 
 def test_qgraph_rejects_nonpositive_length():
