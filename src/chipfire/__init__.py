@@ -21,6 +21,7 @@ from .errors import (
     MissingVertexError,
     NonIntegerSlopeError,
     NonzeroDegreeError,
+    RecordError,
     SubdivisionAuditError,
     UnassignedPointError,
     UnboundVertexError,

@@ -3,22 +3,22 @@
 A divisor is an integer vector indexed by the vertices of a fixed graph;
 linear equivalence is difference by a Laplacian image. Equality of classes
 is decided through the unique q-reduced representative, reached in three
-steps: settle or lend, round, burn.
+steps: settle, round, then lend or burn.
 
-- Settle or lend. When the only debt away from q is a single chip at one
-  vertex v (what the rank search produces when it removes a chip from a
-  reduced divisor), lend: unfire, until v is out of debt, the set that
-  burns outward from v with q fireproof. Any other debt is settled by one
-  far-to-near pass over the distance layers of q.
-- Round. Only when more than sum(deg) = 2|E| chips then sit away from q,
+- Settle. Debt away from q is settled by one far-to-near pass over the
+  distance layers of q, unless it is one chip at one vertex v (what the
+  rank search produces when it removes a chip from a reduced divisor).
+- Round. Only when more than sum(deg) = 2|E| chips sit away from q,
   fire the rounded-down exact solution of the reduced-Laplacian system
   (Baker-Shokrieh 2013, adjugate cached per graph and root) and settle
   again. Rounding leaves every coefficient away from q strictly between
   -deg(v) and deg(v), so large-debt inputs skip the thousands of burning
   passes that would each move chips one step.
-- Burn. Iterated Dhar burning, the only step that declares a vector
-  reduced. After lending on a reduced divisor minus one chip it fires
-  nothing, since lending has already landed on the reduced form.
+- Lend or burn. While v is in debt, lend: unfire the set that burns
+  outward from v with q fireproof. Then Dhar-burn from q, the only step
+  that declares a vector reduced; after lending on a reduced divisor
+  minus one chip it fires nothing. _dhar_unburnt is the one burning pass
+  behind both steps, the superstable enumeration and metric reduction.
 """
 
 from __future__ import annotations
@@ -212,27 +212,27 @@ def _settle_debts(g: MultiGraph, vec, q):
                         vec[j] -= t * mult
 
 
-def _dhar_unburnt(adj, vec, q, n):
-    """One Dhar burning pass from q; returns (unburnt set, threat array).
-
-    threat[v] counts edges from v into the burnt region; v burns as soon as
-    threat[v] exceeds vec[v]. Burning is a monotone closure, so the worklist
-    order cannot change the result.
+def _dhar_unburnt(adj, vec, q, n, source=None):
+    """One burning pass from source (q by default), in which q never burns
+    unless it is the source; returns (members in burning order, burnt
+    flags, threat). v burns once threat[v], its edges into the burnt
+    region, exceeds vec[v]. Burning is a monotone closure, so the walk
+    order cannot change the burnt set.
     """
+    if source is None:
+        source = q
     burnt = bytearray(n)
-    burnt[q] = 1
+    burnt[source] = 1
     threat = [0] * n
-    stack = [q]
-    while stack:
-        u = stack.pop()
+    members = [source]
+    for u in members:  # the list grows while it is walked
         for j, mult in adj[u]:
             if not burnt[j]:
                 threat[j] += mult
-                if threat[j] > vec[j]:
+                if threat[j] > vec[j] and j != q:
                     burnt[j] = 1
-                    stack.append(j)
-    unburnt = [v for v in range(n) if not burnt[v]]
-    return unburnt, threat
+                    members.append(j)
+    return members, burnt, threat
 
 
 def _fire_floor_potential(g: MultiGraph, vec, q):
@@ -256,55 +256,6 @@ def _fire_floor_potential(g: MultiGraph, vec, q):
                 vec[j] += x * mult
 
 
-def _lend(adj, vec, q, v, n):
-    """One lending round for a vector whose only debt away from q sits at v:
-    unfire once the set A that burns outward from v with q fireproof.
-
-    v starts in A; a vertex w != q joins A when its edges into A exceed
-    vec[w], and q never joins. Unfiring A moves one chip along every edge
-    from outside A into A, so a vertex outside A other than q loses at most
-    what it holds, the members of A only gain, and only v (and q) can stay
-    in debt.
-
-    Lemma. Let C be a vector of this kind and t >= 0 an integer vector for
-    which C + L t (C with every vertex w unfired t(w) times) is nonnegative
-    away from q. Then t >= 1 on A. Proof: C(v) < 0 <= (C + L t)(v) forces
-    t(v) to exceed the value of t at some neighbour, so t(v) >= 1. If w
-    were the first vertex to join A with t(w) = 0, then
-    (C + L t)(w) = C(w) - sum of t over the neighbours of w
-    <= C(w) - (edges from w into A) < 0, with w != q: a contradiction.
-    So t - 1_A is again such a vector, and rounds repeated until v is out
-    of debt stop after at most t(v) of them; this is the least action
-    principle of chip-firing (Fey-Levine-Peres 2010) for unfiring.
-
-    Corollary. If D = C + (v) is q-reduced, lending ends on the q-reduced
-    form R = C + L t of C (t(q) = 0) itself, after exactly t(v) rounds. A
-    vector S nonnegative away from q reaches its q-reduced form by Dhar
-    firings of sets avoiding q, i.e. as S - L f with f >= 0 and f(q) = 0.
-    Applied to S = R + (v), whose reduced form is D = R + (v) - L t, this
-    gives t >= 0 (t - f vanishes at q and L (t - f) = 0), so the lemma
-    applies. Lending stops at S = R - L u with u >= 0 and u(q) = 0, and
-    applied to that S, R = S - L f gives u = -f, so u = f = 0.
-    """
-    state = bytearray(n)  # 1: in A; 2: q, which never burns
-    state[q] = 2
-    state[v] = 1
-    threat = [0] * n
-    members = [v]
-    for u in members:  # the list grows while it is walked
-        for j, mult in adj[u]:
-            if not state[j]:
-                threat[j] += mult
-                if threat[j] > vec[j]:
-                    state[j] = 1
-                    members.append(j)
-    for u in members:
-        for j, mult in adj[u]:
-            if state[j] != 1:
-                vec[u] += mult
-                vec[j] -= mult
-
-
 def reduce_vector(g: MultiGraph, vec, q=0):
     """q-reduce a dense coefficient list in place and return it."""
     n = len(g.vertices)
@@ -312,10 +263,9 @@ def reduce_vector(g: MultiGraph, vec, q=0):
         return vec
     adj = g.adjacency()
     debtors = [i for i in range(n) if vec[i] < 0 and i != q]
+    v = q  # the vertex lent to; q when there is nothing to lend
     if len(debtors) == 1 and vec[debtors[0]] == -1:
         v = debtors[0]
-        while vec[v] < 0:
-            _lend(adj, vec, q, v, n)
     elif debtors:
         _settle_debts(g, vec, q)
     # Rounding leaves fewer than sum(deg) = 2|E| chips away from q; below
@@ -324,22 +274,48 @@ def reduce_vector(g: MultiGraph, vec, q=0):
         _fire_floor_potential(g, vec, q)
         _settle_debts(g, vec, q)
     while True:
-        unburnt, threat = _dhar_unburnt(adj, vec, q, n)
-        if not unburnt:
-            return vec
-        # Fire the whole unburnt set the largest number of times that keeps
-        # it nonnegative; legal because threat[v] <= vec[v] on the set.
-        t = min(vec[v] // threat[v] for v in unburnt if threat[v] > 0)
-        if t < 1:
+        source = v if vec[v] < 0 else q
+        members, burnt, threat = _dhar_unburnt(adj, vec, q, n, source)
+        if source == q:
+            if len(members) == n:
+                return vec
+            # Fire the whole unburnt set the largest number of times that
+            # keeps it nonnegative; legal because threat[w] <= vec[w] on it.
+            frontier = (w for w in range(n) if threat[w] and not burnt[w])
+            t = max(1, min(vec[w] // threat[w] for w in frontier))
+        else:
+            # Lend to v, the only debt away from q: unfire once the set A
+            # that burnt from v, which q never joins. That moves one chip
+            # along every edge from outside A into A, so a vertex outside A
+            # other than q loses at most what it holds, A only gains, and
+            # only v and q can owe.
+            #
+            # Lemma. Let C be a vector of this kind and t >= 0 an integer vector for
+            # which C + L t (C with every vertex w unfired t(w) times) is nonnegative
+            # away from q. Then t >= 1 on A. Proof: C(v) < 0 <= (C + L t)(v) forces
+            # t(v) to exceed the value of t at some neighbour, so t(v) >= 1. If w
+            # were the first vertex to join A with t(w) = 0, then
+            # (C + L t)(w) = C(w) - sum of t over the neighbours of w
+            # <= C(w) - (edges from w into A) < 0, with w != q: a contradiction.
+            # So t - 1_A is again such a vector, and rounds repeated until v is out
+            # of debt stop after at most t(v) of them; this is the least action
+            # principle of chip-firing (Fey-Levine-Peres 2010) for unfiring.
+            #
+            # Corollary. If D = C + (v) is q-reduced, lending ends on the q-reduced
+            # form R = C + L t of C (t(q) = 0) itself, after exactly t(v) rounds. A
+            # vector S nonnegative away from q reaches its q-reduced form by Dhar
+            # firings of sets avoiding q, i.e. as S - L f with f >= 0 and f(q) = 0.
+            # Applied to S = R + (v), whose reduced form is D = R + (v) - L t, this
+            # gives t >= 0 (t - f vanishes at q and L (t - f) = 0), so the lemma
+            # applies. Lending stops at S = R - L u with u >= 0 and u(q) = 0, and
+            # applied to that S, R = S - L f gives u = -f, so u = f = 0.
             t = 1
-        inside = [False] * n
-        for v in unburnt:
-            inside[v] = True
-        for v in unburnt:
-            for j, mult in adj[v]:
-                if not inside[j]:
-                    vec[v] -= t * mult
-                    vec[j] += t * mult
+        # Firing the unburnt set t times is unfiring the burnt one t times.
+        for u in members:
+            for j, mult in adj[u]:
+                if not burnt[j]:
+                    vec[u] += t * mult
+                    vec[j] -= t * mult
 
 
 def burn_order(g: MultiGraph, vec, q=0):
@@ -387,8 +363,8 @@ def is_q_reduced(g: MultiGraph, d: Divisor, q) -> bool:
     vec = d.to_vector()
     if any(vec[i] < 0 for i in range(len(vec)) if i != qi):
         return False
-    unburnt, _ = _dhar_unburnt(g.adjacency(), vec, qi, len(vec))
-    return not unburnt
+    members, _, _ = _dhar_unburnt(g.adjacency(), vec, qi, len(vec))
+    return len(members) == len(vec)
 
 
 def is_equivalent(g: MultiGraph, d1: Divisor, d2: Divisor) -> bool:

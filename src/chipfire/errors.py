@@ -73,3 +73,7 @@ class UnassignedPointError(ChipfireError):
 
 class FixtureError(ChipfireError):
     """A specialization fixture has a missing or mistyped entry."""
+
+
+class RecordError(ChipfireError):
+    """A sweep record has a missing or mistyped entry or names no experiment."""

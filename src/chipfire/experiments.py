@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__ as ENGINE_VERSION
-from .errors import GraphError
+from .errors import GraphError, RecordError
 from .graphs import MultiGraph, genus, parse_graph, serialize_graph, subdivide
 from .divisors import Divisor
 from .rank import rank
@@ -98,7 +98,25 @@ class ExperimentRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
+        """Parse one JSONL line. Missing or mistyped entries, an unknown
+        experiment, or a missing or mistyped param that it reads raise
+        RecordError, so replay never re-runs a malformed record."""
         data = json.loads(line)
+        if type(data) is not dict:
+            raise RecordError(f"a record must be a JSON object, got {data!r}")
+        for key, kind in _RECORD_KINDS.items():
+            got = data.get(key)
+            if type(got) is not kind:
+                raise RecordError(f"record needs {kind.__name__} {key!r}, got {got!r}")
+        experiment, params = data["experiment"], data["params"]
+        if experiment not in _PARAM_KINDS:
+            raise RecordError(f"unknown experiment {experiment!r}")
+        for key, kind, required in _PARAM_KINDS[experiment]:
+            got = params.get(key)
+            if (required or key in params) and type(got) is not kind:
+                raise RecordError(
+                    f"{experiment} needs {kind.__name__} param {key!r}, got {got!r}"
+                )
         return cls(
             experiment=data["experiment"],
             graph=data["graph"],
@@ -249,6 +267,19 @@ _INSTANCE_FUNCTIONS = {
     "bn_existence": bn_instance,
     "gonality_bound": gonality_instance,
     "subdivision_invariance": subdivision_instance,
+}
+
+# The JSON kinds of a record's entries, and (param, kind, required) for the
+# params each experiment reads; its instance function defaults the others.
+_RECORD_KINDS = dict(experiment=str, graph=str, params=dict, result=dict, seed=int)
+_PARAM_KINDS = {
+    "bn_existence": (("rmax", int, True), ("escalate_kmax", int, False)),
+    "gonality_bound": (),
+    "subdivision_invariance": (
+        ("kmax", int, True),
+        ("rmax", int, False),
+        ("grd_audit", bool, False),
+    ),
 }
 
 

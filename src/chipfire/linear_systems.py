@@ -48,8 +48,8 @@ def superstable_configs(g: MultiGraph, max_size=None):
         # zero, and zero needs no new check.
         if vec[pos] < degs[pos] - 1 and total < max_size:
             vec[pos] += 1
-            unburnt, _ = _dhar_unburnt(adj, vec, 0, n)
-            if not unburnt:
+            members, _, _ = _dhar_unburnt(adj, vec, 0, n)
+            if len(members) == n:
                 total += 1
                 yield tuple(vec)
                 pos = n - 1

@@ -8,16 +8,16 @@ only in its points: model vertices or rational positions on edges.
 Ranks of rational divisors are computed on the model itself. Lengths and
 support offsets are cleared to integers by their least common
 denominator, and q-reduction runs metric Dhar burning (Luo,
-"Rank-determining sets of metric graphs", 2011) on the segments between
-the special points: the model vertices and the support. A firing moves chips
-across a whole segment in one exact step, so the cost depends on edges
-and chips, not on denominators. The reduced divisors agree with those of
-the unit-edge subdivision (Hladky-Kral-Norine, "Rank of divisors on
-tropical curves", 2013), so the graph rank search of rank.py runs on
-them, subtracting chips only at the model vertices, a rank-determining
-set (Luo 2011). A second computation at twice the scale re-checks at
-runtime that the value is model-independent. All arithmetic is exact;
-floats are refused, not coerced.
+"Rank-determining sets of metric graphs", 2011), the graph burning pass
+on the segments between the special points: the model vertices and the
+support. A firing moves chips across a whole segment in one exact step,
+so the cost depends on edges and chips, not on denominators. The reduced
+divisors agree with those of the unit-edge subdivision (Hladky-Kral-Norine,
+"Rank of divisors on tropical curves", 2013), so the graph rank search of
+rank.py runs on them, subtracting chips only at the model vertices, a
+rank-determining set (Luo 2011). A second computation at twice the scale
+re-checks at runtime that the value is model-independent. All arithmetic
+is exact; floats are refused, not coerced.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     UnrepresentablePointError,
 )
 from .graphs import MultiGraph, banana_graph, genus, _parse_edge_list
-from .divisors import _DivisorCore, canonical_divisor
+from .divisors import _DivisorCore, _dhar_unburnt, canonical_divisor
 from .rank import RiemannRochReport, _Session, _rank_reduced, _riemann_roch_report
 
 
@@ -180,28 +180,6 @@ def _on_grid(x: Fraction, scale: int) -> int:
     return int(units)
 
 
-def _burn(adj, chips, source):
-    """Burn the segment graph from source; returns (burnt flags, threat).
-
-    A point catches fire once more segments lead into it from burnt points
-    than it holds chips; q = point 0 never does unless it is the source.
-    threat[a] counts the segments from burnt points into a.
-    """
-    burnt = bytearray(len(chips))
-    burnt[source] = 1
-    threat = [0] * len(chips)
-    stack = [source]
-    while stack:
-        for seg in adj[stack.pop()]:
-            b = seg[0]
-            if not burnt[b]:
-                threat[b] += 1
-                if threat[b] > chips[b] and b:
-                    burnt[b] = 1
-                    stack.append(b)
-    return burnt, threat
-
-
 class _MetricSession(_Session):
     """rank._Session on a QGraph whose lengths are integers at a given scale.
 
@@ -248,30 +226,31 @@ class _MetricSession(_Session):
     def reduced(self, vec_tuple):
         """The q-reduced state (q = vertex 0) equivalent to vec_tuple.
 
-        The steps of divisors.reduce_vector on the segments between special
-        points: while a point away from q is in debt, lend to the first such
-        point (burn outward from it with q fireproof); then Dhar-burn from
-        q, the only step that declares a state reduced. Unfiring the burnt
-        set is the same move as firing its complement, so either way the
-        unburnt set fires toward the burnt one, across the shortest
-        frontier segment: one step here for as many unit-edge firings as
-        that segment is long, since every point it passes holds no chips.
+        The loop of divisors.reduce_vector, and its burning pass, on the
+        segments between special points: while a point away from q is in
+        debt, lend to the first such point; then Dhar-burn from q, the only
+        step that declares a state reduced. Either way the unburnt set
+        fires toward the burnt one, across the shortest frontier segment:
+        one step here for as many unit-edge firings as that segment is
+        long, since every point it passes holds no chips.
         """
         vertex, interior = vec_tuple[:-1], vec_tuple[-1]
         while True:
-            chips, adj = self._segments(vertex, interior)
+            chips, adj, segs = self._segments(vertex, interior)
             source = next((a for a in range(1, len(chips)) if chips[a] < 0), 0)
-            burnt, threat = _burn(adj, chips, source)
-            if not source and all(burnt):
+            members, burnt, _ = _dhar_unburnt(adj, chips, 0, len(chips), source)
+            if not source and len(members) == len(chips):
                 return (*vertex, interior)
-            vertex, interior = self._fire_unburnt(chips, adj, burnt, threat, interior)
+            vertex, interior = self._fire_unburnt(chips, segs, burnt, interior)
 
     def _segments(self, vertex, interior):
         """Chips and segments of the special points: the model vertices, then
-        the interior points in order. adj[a] lists, per segment from a to
-        b, (b, length, edge, position of a, +1 or -1 toward b)."""
+        the interior points in order. adj[a] holds (b, 1) per segment from a
+        to b; segs holds each segment once as (a, b, length, edge, position
+        of a), a before b along the edge."""
         chips = list(vertex)
         adj = [[] for _ in chips]
+        segs = []
         k = 0
         for e, (u, v) in enumerate(self.ends):
             a, at = u, 0
@@ -279,37 +258,36 @@ class _MetricSession(_Session):
                 _, pos, c = interior[k]
                 b = len(chips)
                 chips.append(c)
-                adj.append([(a, pos - at, e, pos, -1)])
-                adj[a].append((b, pos - at, e, at, 1))
+                adj.append([(a, 1)])
+                adj[a].append((b, 1))
+                segs.append((a, b, pos - at, e, at))
                 a, at = b, pos
                 k += 1
-            length = self.lengths[e]
-            adj[a].append((v, length - at, e, at, 1))
-            adj[v].append((a, length - at, e, length, -1))
-        return chips, adj
+            adj[a].append((v, 1))
+            adj[v].append((a, 1))
+            segs.append((a, v, self.lengths[e] - at, e, at))
+        return chips, adj, segs
 
-    def _fire_unburnt(self, chips, adj, burnt, threat, interior):
-        """Every segment from an unburnt point a to a burnt one carries one
-        chip from a a distance t along it, t the shortest such segment.
+    def _fire_unburnt(self, chips, segs, burnt, interior):
+        """Every segment with one burnt end carries one chip from its unburnt
+        end a distance t toward the burnt one, t the shortest such segment.
 
-        a sends threat[a] chips and did not burn, so it keeps a nonnegative
-        count unless a is q, which goes into debt only while lending.
+        An unburnt point sends its threat in chips and did not burn, so it
+        keeps a nonnegative count unless it is q, which goes into debt only
+        while lending.
         """
-        moves = [
-            (a, seg)
-            for a, segs in enumerate(adj)
-            if threat[a] and not burnt[a]
-            for seg in segs
-            if burnt[seg[0]]
-        ]
-        t = min(seg[1] for _, seg in moves)
+        frontier = [seg for seg in segs if burnt[seg[0]] != burnt[seg[1]]]
+        t = min(seg[2] for seg in frontier)
         landed = []
-        for a, (b, length, e, pos, step) in moves:
+        for a, b, length, e, at in frontier:
+            step = 1
+            if burnt[a]:  # the chip runs from b back toward a
+                a, b, at, step = b, a, at + length, -1
             chips[a] -= 1
             if length == t:
                 chips[b] += 1
             else:
-                landed.append((e, pos + step * t, 1))
+                landed.append((e, at + step * t, 1))
         m = self.n
         kept = [(e, pos, c) for (e, pos, _), c in zip(interior, chips[m:]) if c]
         return tuple(chips[:m]), tuple(sorted(kept + landed))

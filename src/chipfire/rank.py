@@ -42,28 +42,24 @@ from .divisors import (
 class _Session:
     """Call-local memo of rank-bound queries on one graph.
 
-    The rank search subtracts chips only at the vertex indices in branch
-    (every vertex by default). A proper subset is sound only when it is
-    rank-determining: every effective E of degree k supported on it
-    leaving D - E winnable must imply rank(D) >= k.
-
-    dist orders the branch set, farthest from vertex 0 first (hop distance
-    by default). A state is a tuple whose first n entries are the vertex
-    coefficients; reduced and degree are the only operations that read the
-    rest, and metric._MetricSession overrides them to carry the interior
-    support of a divisor on a metric graph in one more entry.
+    The rank search subtracts chips at the graph's vertices, farthest
+    from vertex 0 first by dist (hop distance by default). A state is a
+    tuple whose first n entries are the vertex coefficients; reduced and
+    degree are the only operations that read the rest. metric._MetricSession
+    overrides them to carry the interior support of a divisor on a metric
+    graph in one more entry, so on a metric graph the search subtracts
+    chips only at the model vertices, a rank-determining set (Luo 2011).
+    Both reductions run the one burning pass of divisors.reduce_vector.
     """
 
     __slots__ = ("graph", "n", "far_order", "geq_memo")
 
-    def __init__(self, graph: MultiGraph, branch=None, dist=None):
+    def __init__(self, graph: MultiGraph, dist=None):
         self.graph = graph
         self.n = len(graph.vertices)
         if dist is None:
             dist = graph.distance_layers(0)[0]
-        if branch is None:
-            branch = range(self.n)
-        self.far_order = sorted(branch, key=lambda v: -dist[v])
+        self.far_order = sorted(range(self.n), key=lambda v: -dist[v])
         self.geq_memo = {}
 
     def reduced(self, vec_tuple):
@@ -89,7 +85,8 @@ def _child(sess, red, v):
     Removing a chip from a positive coefficient (or from the base vertex,
     whose coefficient is unconstrained) keeps the divisor q-reduced, so
     only newly indebted vertices need an actual reduction, and that one
-    chip of debt is repaid by lending (divisors._lend).
+    chip of debt is repaid by lending, the burning pass run outward from
+    the debtor (divisors.reduce_vector).
     """
     vec = list(red)
     vec[v] -= 1

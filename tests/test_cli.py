@@ -7,6 +7,7 @@ import os
 import tempfile
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
@@ -199,6 +200,33 @@ def test_replay_missing_file_is_input_error(tmp_path, capsys):
     assert code == 1
     assert payload["status"] == "error"
     assert "missing.jsonl" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"experiment": "nope", "graph": "a b", "params": {}, "result": {},'
+         ' "seed": 1}', "unknown experiment 'nope'"),
+        ('{"graph": "a b", "params": {}, "result": {}, "seed": 1}',
+         "needs str 'experiment', got None"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"experiment": "subdivision_invariance", "graph": "a b", "params": {},'
+         ' "result": {}, "seed": 1}', "param 'kmax'"),
+        ('{"experiment": "bn_existence", "graph": "a b", "params": {"rmax": "2",'
+         ' "escalate_kmax": 3}, "result": {}, "seed": 1}', "param 'rmax'"),
+        ('{"experiment": "gonality_bound", "graph": "a b", "params": {},'
+         ' "result": [], "seed": 1}', "needs dict 'result', got []"),
+    ],
+)
+def test_replay_malformed_record_is_error(tmp_path, capsys, line, message):
+    """A malformed record is a typed error, also after a valid record."""
+    path = tmp_path / "bad.jsonl"
+    good = '{"experiment": "gonality_bound", "graph": "a b", "params": {},'
+    path.write_text(good + ' "result": {}, "seed": 1}\n' + line + "\n")
+    code, payload = run_json(capsys, "replay", str(path))
+    assert code == 1
+    assert payload["status"] == "error"
+    assert message in payload["error"]
 
 
 def test_qrank_malformed_entries_are_input_errors(capsys):

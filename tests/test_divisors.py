@@ -211,17 +211,15 @@ def test_reduce_multifire_matches_single_fire():
         _settle_debts(g, vec, 0)
         adj = g.adjacency()
         while True:
-            unburnt, _ = _dhar_unburnt(adj, vec, 0, n)
-            if not unburnt:
+            members, burnt, _ = _dhar_unburnt(adj, vec, 0, n)
+            if len(members) == n:
                 return vec
-            inside = [False] * n
-            for v in unburnt:
-                inside[v] = True
-            for v in unburnt:
-                for j, mult in adj[v]:
-                    if not inside[j]:
-                        vec[v] -= mult
-                        vec[j] += mult
+            for v in range(n):
+                if not burnt[v]:
+                    for j, mult in adj[v]:
+                        if burnt[j]:
+                            vec[v] -= mult
+                            vec[j] += mult
 
     for trial in range(150):
         rng = random.Random(trial)
@@ -298,10 +296,11 @@ def test_rounding_step_differential():
 def test_lending_lands_on_the_reduced_form(seed):
     """A q-reduced D minus one chip at a vertex v where D is zero, the input
     the rank search hands to reduce_vector, on random multigraphs and their
-    subdivisions with a random root q. Lending must end on the q-reduced
-    form R after exactly t(v) rounds, where C + L t = R and t(q) = 0 come
-    from the oracle's exact solve (the corollary in divisors._lend), and
-    the Dhar loop after it must fire nothing."""
+    subdivisions with a random root q. Lending (the burning passes from
+    v) must end on the q-reduced form R after exactly t(v) rounds, where
+    C + L t = R and t(q) = 0 come from the oracle's exact solve (the
+    corollary in divisors.reduce_vector), and the one Dhar pass from q
+    after it must leave nothing unburnt."""
     rng = random.Random(seed)
     g = cf.random_multigraph(rng.randint(2, 7), rng.randint(0, 5), seed=seed)
     g, _ = cf.subdivide(g, rng.randint(1, 4))
@@ -315,13 +314,20 @@ def test_lending_lands_on_the_reduced_form(seed):
     start = list(vec)
     start[v] -= 1
 
-    out = list(start)
-    adj = g.adjacency()
-    rounds = 0
-    while out[v] < 0 and rounds <= 10_000:
-        divisors._lend(adj, out, q, v, n)
-        rounds += 1
-    assert out[v] >= 0, "lending did not stop"
+    passes = []  # (source, burnt count) per burning pass
+    real_pass = divisors._dhar_unburnt
+
+    def counted_pass(adj, vec, root, size, source=None):
+        result = real_pass(adj, vec, root, size, source)
+        passes.append((root if source is None else source, len(result[0])))
+        assert len(passes) <= 10_000, "lending did not stop"
+        return result
+
+    with mock.patch.object(divisors, "_dhar_unburnt", counted_pass):
+        out = divisors.reduce_vector(g, list(start), q)
+    rounds = sum(source != q for source, _ in passes)
+    assert all(source == v for source, _ in passes[:rounds])
+    assert passes[rounds:] == [(q, n)]  # one pass, and nothing was left unburnt
     assert all(c >= 0 for i, c in enumerate(out) if i != q)
     assert equivalent_oracle(g, start, out)
     assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[q])
@@ -330,18 +336,6 @@ def test_lending_lands_on_the_reduced_form(seed):
     t.insert(q, 0)
     assert all(x.denominator == 1 and x >= 0 for x in t)
     assert rounds == t[v]
-
-    passes = []
-    real_pass = divisors._dhar_unburnt
-
-    def counted_pass(*args):
-        result = real_pass(*args)
-        passes.append(result[0])
-        return result
-
-    with mock.patch.object(divisors, "_dhar_unburnt", counted_pass):
-        assert divisors.reduce_vector(g, list(start), q) == out
-    assert passes == [[]]  # one pass, and nothing was left unburnt
 
 
 def test_canonical_divisor_quartic():

@@ -5,6 +5,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,7 +141,8 @@ def _clearing_scale(qg, d):
 def test_native_reduction_matches_unit_model(case):
     """Reduction on the model's segments is bit-identical to reduce_vector
     on the unit-edge subdivision, and q_rank equals the unbranched rank()
-    there (Hladky-Kral-Norine 2013)."""
+    there (Hladky-Kral-Norine 2013). A chip sent the wrong way never
+    settles, so the firing steps are capped."""
     qg, d = case
     scale = _clearing_scale(qg, d)
     graph, vertex_of = unit_model_oracle(qg, scale)
@@ -151,8 +153,17 @@ def test_native_reduction_matches_unit_model(case):
             vec[graph.index(vertex_of(point))] += c
         return vec
 
+    steps = []
+    real_fire = _MetricSession._fire_unburnt
+
+    def capped_fire(self, *args):
+        steps.append(1)
+        assert len(steps) <= 1_000, "native reduction did not stop"
+        return real_fire(self, *args)
+
     sess = _MetricSession(qg, scale)
-    red = sess.reduced(sess.state(d))
+    with mock.patch.object(_MetricSession, "_fire_unburnt", capped_fire):
+        red = sess.reduced(sess.state(d))
     model = qg.model.vertices
     native = [(qg.vertex_point(v), c) for v, c in zip(model, red[:-1])]
     native += [(qg.point(e, F(pos, scale)), c) for e, pos, c in red[-1]]

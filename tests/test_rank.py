@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
-from chipfire.rank import _Session, _direct_rank, _rank_reduced
+from chipfire.metric import _MetricSession
+from chipfire.rank import _direct_rank, _rank_reduced
 
 from oracles import all_small_multigraphs, rank_oracle
 
@@ -112,11 +113,15 @@ def test_clifford_degree_two(seed):
 # -- branching over a rank-determining set -------------------------------------
 
 
-def _model_branched_rank(sub, model, vec):
-    """Rank on a subdivision of model, subtracting chips only at the model
-    vertices (which subdivide_edges lists first)."""
-    sess = _Session(sub, range(len(model.vertices)))
-    return _rank_reduced(sess, sess.reduced(tuple(vec)))
+def _model_branched_rank(sess, counts, vec):
+    """Rank of a vector on subdivide_edges(model, counts), searched by the
+    metric session on the model with lengths counts, which subtracts chips
+    only at the model vertices. The subdivision lists the model vertices
+    first, then the fresh vertices of each edge e in path order, at
+    positions 1 .. counts[e] - 1 along the metric edge."""
+    interior = [(e, j) for e, k in enumerate(counts) for j in range(1, k)]
+    triples = tuple((e, j, c) for (e, j), c in zip(interior, vec[sess.n:]) if c)
+    return _rank_reduced(sess, sess.reduced((*vec[:sess.n], triples)))
 
 
 def _small_vectors(n):
@@ -135,15 +140,18 @@ def _small_vectors(n):
 
 def test_model_vertex_branching_exhaustive_small():
     """The vertex set of a loopless model is rank-determining (Luo 2011), so
-    on every subdivision the branched search agrees with the full one, for
-    divisors supported anywhere, including on subdivision vertices."""
+    on every subdivision the metric search, branching over the model
+    vertices, agrees with the full graph search, for divisors supported
+    anywhere, including on subdivision vertices."""
     checked = 0
     for g in all_small_multigraphs(max_vertices=3, max_edges=3):
         for counts in itertools.product((1, 2, 3), repeat=len(g.edges)):
             sub, _ = cf.subdivide_edges(g, counts)
+            sess = _MetricSession(cf.QGraph(g, counts), 1)
             for vec in _small_vectors(len(sub.vertices)):
                 expected = cf.rank(sub, cf.Divisor.from_vector(sub, vec))
-                assert _model_branched_rank(sub, g, vec) == expected, (g, counts, vec)
+                got = _model_branched_rank(sess, counts, vec)
+                assert got == expected, (g, counts, vec)
                 if len(sub.vertices) <= 4:
                     assert rank_oracle(sub, vec) == expected, (g, counts, vec)
                 checked += 1
@@ -165,7 +173,8 @@ def test_model_vertex_branching_larger_subdivisions(seed):
         vec[rng.randrange(n)] += 1
     vec[rng.randrange(n)] -= rng.randint(0, 1)
     expected = cf.rank(sub, cf.Divisor.from_vector(sub, vec))
-    assert _model_branched_rank(sub, g, vec) == expected
+    sess = _MetricSession(cf.QGraph(g, counts), 1)
+    assert _model_branched_rank(sess, counts, vec) == expected
 
 
 # -- ordering divisors --------------------------------------------------------
