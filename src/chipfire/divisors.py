@@ -10,10 +10,11 @@ steps: settle, round, then lend or burn.
   rank search produces when it removes a chip from a reduced divisor).
 - Round. Only when more than sum(deg) = 2|E| chips sit away from q,
   fire the rounded-down exact solution of the reduced-Laplacian system
-  (Baker-Shokrieh 2013, adjugate cached per graph and root) and settle
-  again. Rounding leaves every coefficient away from q strictly between
-  -deg(v) and deg(v), so large-debt inputs skip the thousands of burning
-  passes that would each move chips one step.
+  (Baker-Shokrieh 2013) through a sparse fraction-free factor of L_q
+  cached per graph and root, and settle again. Rounding leaves every
+  coefficient away from q strictly between -deg(v) and deg(v), so
+  large-debt inputs skip the thousands of burning passes that would each
+  move chips one step.
 - Lend or burn. While v is in debt, lend: unfire the set that burns
   outward from v with q fireproof. Then Dhar-burn from q, the only step
   that declares a vector reduced; after lending on a reduced divisor
@@ -235,6 +236,35 @@ def _dhar_unburnt(adj, vec, q, n, source=None):
     return members, burnt, threat
 
 
+def _adjugate_times(g: MultiGraph, vec, q):
+    """(det L_q, Y) with Y = adj(L_q) D_q, Y(q) = 0, from the cached factor
+    of g.reduced_factor(q), without building the adjugate.
+
+    Forward: carry D_q through the factor's elimination as one more column,
+    rescaled lazily like its rows, to D'. Back: the factor rows U satisfy
+    U Y = det * D' exactly, so Y(v) = (det D'(v) - sum a Y(j)) // pivot is
+    an exact division.
+    """
+    det, steps = g.reduced_factor(q)
+    b = list(vec)
+    level = [0] * len(b)
+    pivots = [1]
+    for k, (p, pivot, row) in enumerate(steps):
+        prev = pivots[k]
+        bp = b[p] = b[p] * prev // pivots[level[p]]
+        for j, a in row:
+            x = b[j]
+            if level[j] != k:
+                x = x * prev // pivots[level[j]]
+            b[j] = (pivot * x - a * bp) // prev
+            level[j] = k + 1
+        pivots.append(pivot)
+    y = [0] * len(b)
+    for p, pivot, row in reversed(steps):
+        y[p] = (det * b[p] - sum(a * y[j] for j, a in row)) // pivot
+    return det, y
+
+
 def _fire_floor_potential(g: MultiGraph, vec, q):
     """Set vec to D - L x for x = floor(L_q^-1 D_q) and x(q) = 0, i.e. fire
     each vertex v != q x(v) times (Baker-Shokrieh 2013).
@@ -242,15 +272,13 @@ def _fire_floor_potential(g: MultiGraph, vec, q):
     With y the exact solution of L_q y = D_q, the coefficients away from q
     become L_q (y - x) with y - x in [0, 1) everywhere, so each lies strictly
     between -deg(v) and deg(v). x is computed in integers as
-    floor(adj(L_q) D_q / det L_q).
+    floor(adj(L_q) D_q / det L_q) by _adjugate_times.
     """
-    det, adjugate = g.reduced_adjugate(q)
-    dq = vec[:q] + vec[q + 1:]
+    det, y = _adjugate_times(g, vec, q)
     adj = g.adjacency()
-    for k, row in enumerate(adjugate):
-        x = sum(a * b for a, b in zip(row, dq)) // det
+    for i, yi in enumerate(y):
+        x = yi // det
         if x:
-            i = k if k < q else k + 1
             for j, mult in adj[i]:
                 vec[i] -= x * mult
                 vec[j] += x * mult

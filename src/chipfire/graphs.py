@@ -7,6 +7,7 @@ repetition in the edge list, never by weights.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from collections import deque
 from fractions import Fraction
@@ -24,8 +25,8 @@ class MultiGraph:
     """A finite, unweighted, connected multigraph without loop edges.
 
     Immutable after construction; all derived structure (adjacency,
-    degrees, distance layers) is computed lazily and cached, so instances
-    are safe to share across threads.
+    degrees, distance layers, the factor of L_q per root q) is computed
+    lazily and cached, so instances are safe to share across threads.
     """
 
     __slots__ = (
@@ -35,7 +36,7 @@ class MultiGraph:
         "_adj",
         "_degrees",
         "_layers",
-        "_adjugates",
+        "_factors",
         "_mult",
         "_snf_cache",
     )
@@ -59,7 +60,7 @@ class MultiGraph:
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_degrees", None)
         object.__setattr__(self, "_layers", {})
-        object.__setattr__(self, "_adjugates", {})
+        object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_mult", None)
         object.__setattr__(self, "_snf_cache", None)
         self._check_connected()
@@ -180,52 +181,61 @@ class MultiGraph:
             self._layers[root] = (tuple(dist), tuple(tuple(l) for l in layers))
         return self._layers[root]
 
-    def reduced_adjugate(self, root=0):
-        """(det L_q, adj L_q) for the Laplacian with the row and column of the
-        given vertex index deleted; adj rows and columns follow canonical
-        vertex order with the root skipped.
+    def reduced_factor(self, root=0):
+        """(det L_q, steps): sparse fraction-free (Bareiss) elimination of
+        the Laplacian with the row and column of the given vertex index
+        deleted. Step k is (v, P_k, row): v is eliminated with the k-th
+        pivot P_k, and row lists v's entries (j, a) over the vertices
+        eliminated after it, as they stand after k - 1 steps. The last
+        pivot is det L_q.
 
-        Fraction-free Gauss-Jordan elimination (Bareiss) of [L_q | I]: every
-        entry stays an integer minor, and after the last step the left block
-        is det * I and the right block is the adjugate. L_q is positive
-        definite, so every pivot is a positive leading minor and no row
-        swaps are needed.
+        Each step takes the remaining row with the fewest entries, the
+        lowest index on ties, so degree-2 chain interiors go first at O(1)
+        each. L_q is positive definite, so every pivot is a positive minor
+        whatever the order and no rows are swapped. Every entry is a minor
+        too, so a row last updated at step l is brought to step k exactly
+        by a * P_k // P_l, with P_0 = 1 and P_k the k-th pivot.
         """
-        if root not in self._adjugates:
-            n = len(self.vertices)
-            keep = [i for i in range(n) if i != root]
-            pos = {i: k for k, i in enumerate(keep)}
-            m = len(keep)
+        if root not in self._factors:
             degs = self.degrees()
-            adj = self.adjacency()
-            rows = []
-            for k, i in enumerate(keep):
-                row = [0] * (2 * m)
-                row[k] = degs[i]
-                for j, mult in adj[i]:
-                    if j != root:
-                        row[pos[j]] = -mult
-                rows.append(row)
-            prev = 1
-            for k in range(m):
-                # Before step k, the columns left of k and right of m + k
-                # hold only diagonal entries, each equal to the current
-                # leading minor prev; only the columns in between change.
-                pivot_row = rows[k]
-                pivot_row[m + k] = prev
-                p = pivot_row[k]
-                span = pivot_row[k + 1:m + k + 1]
-                for i in range(m):
-                    if i != k:
-                        row = rows[i]
-                        a = row[k]
-                        row[k + 1:m + k + 1] = [
-                            (p * x - a * y) // prev
-                            for x, y in zip(row[k + 1:m + k + 1], span)
-                        ]
-                prev = p
-            self._adjugates[root] = (prev, tuple(tuple(row[m:]) for row in rows))
-        return self._adjugates[root]
+            rows = [
+                {j: -mult for j, mult in adj if j != root} for adj in self.adjacency()
+            ]
+            for i, row in enumerate(rows):
+                row[i] = degs[i]
+            rows[root] = None
+            level = [0] * len(rows)
+            pivots = [1]
+            heap = [(len(row), i) for i, row in enumerate(rows) if row is not None]
+            heapq.heapify(heap)
+            steps = []
+            while heap:
+                size, p = heapq.heappop(heap)
+                row_p = rows[p]
+                if row_p is None or len(row_p) != size:
+                    continue  # eliminated, or pushed again since with a new size
+                rows[p] = None
+                k = len(steps)
+                prev = pivots[k]
+                old = pivots[level[p]]
+                row_p = {j: a * prev // old for j, a in row_p.items()}
+                pivot = row_p.pop(p)
+                for i, a in row_p.items():
+                    # a = row i's entry in column p, by symmetry of the minors
+                    row_i = rows[i]
+                    del row_i[p]
+                    old = pivots[level[i]]
+                    for j in row_i.keys() | row_p.keys():
+                        x = row_i.get(j, 0)
+                        if old != prev:
+                            x = x * prev // old
+                        row_i[j] = (pivot * x - a * row_p.get(j, 0)) // prev
+                    level[i] = k + 1
+                    heapq.heappush(heap, (len(row_i), i))
+                steps.append((p, pivot, tuple(row_p.items())))
+                pivots.append(pivot)
+            self._factors[root] = (pivots[-1], tuple(steps))
+        return self._factors[root]
 
 
 def genus(g: MultiGraph) -> int:

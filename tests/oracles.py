@@ -38,11 +38,12 @@ def solve_exact(matrix, rhs):
         pivot = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[pivot] = a[pivot], a[col]
         inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        # zeros are skipped, not changed: sparse systems stay cheap
+        a[col] = [x * inv if x else x for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+                a[r] = [x - factor * y if y else x for x, y in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
 
 

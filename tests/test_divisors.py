@@ -1,5 +1,6 @@
 """Divisor arithmetic, the Laplacian, and q-reduction."""
 
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -231,28 +232,50 @@ def test_reduce_multifire_matches_single_fire():
         assert fast == single_fire(g, list(vec))
 
 
-def test_reduced_adjugate_identity():
-    """L_q * adj(L_q) = det(L_q) * I at every root, with det(L_q) the
-    spanning-tree count (matrix-tree theorem)."""
+def test_reduced_factor_solves_exactly():
+    """At every root, the cached factor's last pivot is det(L_q), the
+    spanning-tree count (matrix-tree theorem); the solve from it gives
+    Y = adj(L_q) b, so L_q Y = det * b, and Y // det is the floor of the
+    exact rational solution."""
     graphs = list(all_small_multigraphs(4, 5))
     graphs += [cf.random_multigraph(n, n % 4, seed=n) for n in range(5, 9)]
+    rng = random.Random(0)
     for g in graphs:
         trees = spanning_tree_oracle(g)
-        for q in range(len(g.vertices)):
-            det, adj = g.reduced_adjugate(q)
-            lap = cf.reduced_laplacian(g, g.vertices[q])
-            m = len(lap)
+        n = len(g.vertices)
+        for q in range(n):
+            det, _ = g.reduced_factor(q)
             assert det == trees
-            for i in range(m):
-                for j in range(m):
-                    entry = sum(lap[i][k] * adj[k][j] for k in range(m))
-                    assert entry == (det if i == j else 0)
+            b = [rng.randint(-40, 40) for _ in range(n)]
+            det, y = divisors._adjugate_times(g, b, q)
+            assert y[q] == 0
+            y, b = y[:q] + y[q + 1:], b[:q] + b[q + 1:]
+            lap = reduced_laplacian_matrix(g, q)
+            for row, bi in zip(lap, b):
+                assert sum(a * x for a, x in zip(row, y)) == det * bi
+            exact = solve_exact(lap, b) if lap else []
+            assert [x // det for x in y] == [math.floor(x) for x in exact]
+
+
+def test_reduced_factor_fill_on_long_chains():
+    """The cached factor stays sparse on long chains: banana(3) with each
+    edge cut into 100 factors with at most 3 (n - 1) off-diagonal entries
+    at every root tried, where a dense factor holds (n - 1)(n - 2) / 2."""
+    g, _ = cf.subdivide(cf.banana_graph(3), 100)
+    n = len(g.vertices)
+    assert n == 299
+    for q in (0, 1, n - 1):
+        det, steps = g.reduced_factor(q)
+        assert det == 3 * 100**2
+        assert len(steps) == n - 1
+        assert sum(len(row) for _, _, row in steps) <= 3 * (n - 1)
 
 
 def test_rounding_step_differential():
     """reduce_vector against the oracles on both sides of the 2|E| threshold
-    of its rounding step, and the step itself: it fires an integer vector,
-    and what it leaves away from q is L_q f with 0 <= f < 1."""
+    of its rounding step, at a random root, also on graphs with long chains,
+    and the step itself: it fires an integer vector, and what it leaves
+    away from q is L_q f with 0 <= f < 1."""
     rounded = []
     skipped = []
     real_step = divisors._fire_floor_potential
@@ -260,8 +283,7 @@ def test_rounding_step_differential():
     def checked_step(g, vec, q):
         before = list(vec)
         real_step(g, vec, q)
-        assert q == 0  # the oracle matrix drops index 0
-        f = solve_exact(reduced_laplacian_matrix(g), vec[1:])
+        f = solve_exact(reduced_laplacian_matrix(g, q), vec[:q] + vec[q + 1:])
         assert all(0 <= x < 1 for x in f), f
         assert equivalent_oracle(g, before, vec)
         rounded.append(g)
@@ -270,8 +292,16 @@ def test_rounding_step_differential():
     @given(st.integers(0, 10**6))
     def check(seed):
         rng = random.Random(seed)
-        n = rng.randint(5, 15)
-        g = cf.random_multigraph(n, rng.randint(0, n), seed=seed)
+        if seed % 4:
+            n = rng.randint(5, 15)
+            g = cf.random_multigraph(n, rng.randint(0, n), seed=seed)
+        else:
+            # long chains: a small multigraph with edges cut into up to 30
+            core = cf.random_multigraph(rng.randint(2, 4), rng.randint(0, 2), seed=seed)
+            counts = [rng.randint(1, 30) for _ in core.edges]
+            g, _ = cf.subdivide_edges(core, counts)
+            n = len(g.vertices)
+        q = rng.randrange(n)
         amplitude = rng.randint(0, 20)
         f = {v: rng.randint(-amplitude, amplitude) for v in g.vertices}
         vec = cf.laplacian_apply(g, f).to_vector()
@@ -280,15 +310,16 @@ def test_rounding_step_differential():
             vec[src] -= 1
             vec[dst] += 1
         calls = len(rounded)
-        out = divisors.reduce_vector(g, list(vec), 0)
+        out = divisors.reduce_vector(g, list(vec), q)
         if len(rounded) == calls:
             skipped.append(seed)
-        assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[0])
+        assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[q])
         assert equivalent_oracle(g, vec, out)
 
     with mock.patch.object(divisors, "_fire_floor_potential", checked_step):
         check()
     assert rounded and skipped
+    assert any(len(g.vertices) > 30 for g in rounded)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
