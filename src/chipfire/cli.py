@@ -13,10 +13,9 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
-from .errors import ChipfireError
+from .errors import ChipfireError, MetricError
 from .graphs import family, genus, parse_graph
 from .divisors import Divisor, canonical_divisor
 from .rank import rank, rank_with_certificate, riemann_roch_check
@@ -96,14 +95,6 @@ def _json_int(value, what):
     return value
 
 
-def _fraction(text: str, what) -> Fraction:
-    """A rational like 1/6; a malformed one or a zero denominator is an input error."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{what} must be a rational number, got {text!r}") from exc
-
-
 def _load_divisor(graph, arg: str) -> Divisor:
     text = _read_arg(arg)
     try:
@@ -147,9 +138,10 @@ def _load_qdivisor(qgraph, arg: str) -> QDivisor:
                 point = qgraph.vertex_point(entry["vertex"])
             else:
                 edge = _json_int(entry["edge"], f"edge in entry {entry!r}")
-                offset = _fraction(str(entry["offset"]), f"offset in entry {entry!r}")
-                point = qgraph.point(edge, offset)
-        except TypeError as exc:
+                # The raw JSON value: point() refuses a float offset, which
+                # would otherwise be silently rounded to a binary fraction.
+                point = qgraph.point(edge, entry["offset"])
+        except (TypeError, MetricError) as exc:
             raise InputError(f"bad metric divisor entry {entry!r}: {exc}") from exc
         coeffs[point] = coeffs.get(point, 0) + coeff
     return QDivisor(qgraph, coeffs)
@@ -257,8 +249,9 @@ def _cmd_norine_scan(args) -> CommandResult:
 def _cmd_semicontinuity(args) -> CommandResult:
     qg = _load_qgraph(args.graph)
     d = _load_qdivisor(qg, args.divisor)
-    eps = _fraction(args.eps, "--eps")
-    report = semicontinuity_probe(qg, d, eps=eps, samples=args.samples, seed=args.seed)
+    report = semicontinuity_probe(
+        qg, d, eps=args.eps, samples=args.samples, seed=args.seed
+    )
     payload = {
         "baseRank": report.base_rank,
         "samples": len(report.records),

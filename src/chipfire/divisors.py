@@ -19,7 +19,8 @@ steps: settle, round, then lend or burn.
   outward from v with q fireproof. Then Dhar-burn from q, the only step
   that declares a vector reduced; after lending on a reduced divisor
   minus one chip it fires nothing. _dhar_unburnt is the one burning pass
-  behind both steps, the superstable enumeration and metric reduction.
+  behind both steps, the superstable enumeration, metric reduction and
+  the burning order of rank's ordering certificate.
 """
 
 from __future__ import annotations
@@ -344,34 +345,6 @@ def reduce_vector(g: MultiGraph, vec, q=0):
                 if not burnt[j]:
                     vec[u] += t * mult
                     vec[j] -= t * mult
-
-
-def burn_order(g: MultiGraph, vec, q=0):
-    """Dhar burn order of a q-reduced vector: q first, then one vertex at a time.
-
-    Each burned vertex has more edges to earlier-burned vertices than chips,
-    which is exactly the inequality the ordering certificate needs.
-    """
-    n = len(g.vertices)
-    adj = g.adjacency()
-    burnt = [False] * n
-    burnt[q] = True
-    order = [q]
-    threat = [0] * n
-    for j, mult in adj[q]:
-        threat[j] += mult
-    while len(order) < n:
-        for v in range(n):
-            if not burnt[v] and threat[v] > vec[v]:
-                burnt[v] = True
-                order.append(v)
-                for j, mult in adj[v]:
-                    if not burnt[j]:
-                        threat[j] += mult
-                break
-        else:
-            raise AssertionError("vector is not q-reduced: burning stalled")
-    return order
 
 
 def q_reduce(g: MultiGraph, d: Divisor, q) -> Divisor:

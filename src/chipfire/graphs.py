@@ -37,7 +37,6 @@ class MultiGraph:
         "_degrees",
         "_layers",
         "_factors",
-        "_mult",
         "_snf_cache",
     )
 
@@ -61,7 +60,6 @@ class MultiGraph:
         object.__setattr__(self, "_degrees", None)
         object.__setattr__(self, "_layers", {})
         object.__setattr__(self, "_factors", {})
-        object.__setattr__(self, "_mult", None)
         object.__setattr__(self, "_snf_cache", None)
         self._check_connected()
 
@@ -145,16 +143,8 @@ class MultiGraph:
 
     def multiplicity(self, u, v):
         """Number of parallel edges between u and v."""
-        if self._mult is None:
-            mult = {}
-            for a, b in self.edges:
-                i, j = self._index[a], self._index[b]
-                key = (i, j) if i < j else (j, i)
-                mult[key] = mult.get(key, 0) + 1
-            object.__setattr__(self, "_mult", mult)
         i, j = self.index(u), self.index(v)
-        key = (i, j) if i < j else (j, i)
-        return self._mult.get(key, 0)
+        return dict(self.adjacency()[i]).get(j, 0)
 
     def distance_layers(self, root=0):
         """BFS layers from the given vertex index: layers[k] = indices at distance k."""
@@ -182,60 +172,66 @@ class MultiGraph:
         return self._layers[root]
 
     def reduced_factor(self, root=0):
-        """(det L_q, steps): sparse fraction-free (Bareiss) elimination of
-        the Laplacian with the row and column of the given vertex index
-        deleted. Step k is (v, P_k, row): v is eliminated with the k-th
-        pivot P_k, and row lists v's entries (j, a) over the vertices
-        eliminated after it, as they stand after k - 1 steps. The last
-        pivot is det L_q.
-
-        Each step takes the remaining row with the fewest entries, the
-        lowest index on ties, so degree-2 chain interiors go first at O(1)
-        each. L_q is positive definite, so every pivot is a positive minor
-        whatever the order and no rows are swapped. Every entry is a minor
-        too, so a row last updated at step l is brought to step k exactly
-        by a * P_k // P_l, with P_0 = 1 and P_k the k-th pivot.
-        """
+        """sparse_factor(self, root), cached per root: the factor the
+        rounding step of q-reduction solves through."""
         if root not in self._factors:
-            degs = self.degrees()
-            rows = [
-                {j: -mult for j, mult in adj if j != root} for adj in self.adjacency()
-            ]
-            for i, row in enumerate(rows):
-                row[i] = degs[i]
-            rows[root] = None
-            level = [0] * len(rows)
-            pivots = [1]
-            heap = [(len(row), i) for i, row in enumerate(rows) if row is not None]
-            heapq.heapify(heap)
-            steps = []
-            while heap:
-                size, p = heapq.heappop(heap)
-                row_p = rows[p]
-                if row_p is None or len(row_p) != size:
-                    continue  # eliminated, or pushed again since with a new size
-                rows[p] = None
-                k = len(steps)
-                prev = pivots[k]
-                old = pivots[level[p]]
-                row_p = {j: a * prev // old for j, a in row_p.items()}
-                pivot = row_p.pop(p)
-                for i, a in row_p.items():
-                    # a = row i's entry in column p, by symmetry of the minors
-                    row_i = rows[i]
-                    del row_i[p]
-                    old = pivots[level[i]]
-                    for j in row_i.keys() | row_p.keys():
-                        x = row_i.get(j, 0)
-                        if old != prev:
-                            x = x * prev // old
-                        row_i[j] = (pivot * x - a * row_p.get(j, 0)) // prev
-                    level[i] = k + 1
-                    heapq.heappush(heap, (len(row_i), i))
-                steps.append((p, pivot, tuple(row_p.items())))
-                pivots.append(pivot)
-            self._factors[root] = (pivots[-1], tuple(steps))
+            self._factors[root] = sparse_factor(self, root)
         return self._factors[root]
+
+
+def sparse_factor(g: MultiGraph, root=0):
+    """(det L_q, steps): sparse fraction-free (Bareiss) elimination of
+    the Laplacian with the row and column of the given vertex index
+    deleted. Step k is (v, P_k, row): v is eliminated with the k-th
+    pivot P_k, and row lists v's entries (j, a) over the vertices
+    eliminated after it, as they stand after k - 1 steps. The last
+    pivot is det L_q.
+
+    Each step takes the remaining row with the fewest entries, the
+    lowest index on ties, so degree-2 chain interiors go first at O(1)
+    each. L_q is positive definite, so every pivot is a positive minor
+    whatever the order and no rows are swapped. Every entry is a minor
+    too, so a row last updated at step l is brought to step k exactly
+    by a * P_k // P_l, with P_0 = 1 and P_k the k-th pivot.
+    """
+    degs = g.degrees()
+    rows = [
+        {j: -mult for j, mult in adj if j != root} for adj in g.adjacency()
+    ]
+    for i, row in enumerate(rows):
+        row[i] = degs[i]
+    rows[root] = None
+    level = [0] * len(rows)
+    pivots = [1]
+    heap = [(len(row), i) for i, row in enumerate(rows) if row is not None]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        size, p = heapq.heappop(heap)
+        row_p = rows[p]
+        if row_p is None or len(row_p) != size:
+            continue  # eliminated, or pushed again since with a new size
+        rows[p] = None
+        k = len(steps)
+        prev = pivots[k]
+        old = pivots[level[p]]
+        row_p = {j: a * prev // old for j, a in row_p.items()}
+        pivot = row_p.pop(p)
+        for i, a in row_p.items():
+            # a = row i's entry in column p, by symmetry of the minors
+            row_i = rows[i]
+            del row_i[p]
+            old = pivots[level[i]]
+            for j in row_i.keys() | row_p.keys():
+                x = row_i.get(j, 0)
+                if old != prev:
+                    x = x * prev // old
+                row_i[j] = (pivot * x - a * row_p.get(j, 0)) // prev
+            level[i] = k + 1
+            heapq.heappush(heap, (len(row_i), i))
+        steps.append((p, pivot, tuple(row_p.items())))
+        pivots.append(pivot)
+    return pivots[-1], tuple(steps)
 
 
 def genus(g: MultiGraph) -> int:

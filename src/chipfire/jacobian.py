@@ -1,9 +1,12 @@
 """Integer linear algebra over the graph Laplacian.
 
-Jacobian group structure via Smith normal form, spanning-tree counts via a
-fraction-free determinant, and class coordinates used as an equivalence
-oracle independent of the chip-firing machinery. Everything is exact
-arbitrary-precision integer arithmetic; matrices here are desk-scale.
+Jacobian group structure via Smith normal form, and class coordinates used
+as an equivalence oracle independent of the chip-firing machinery. The
+spanning-tree count is det L_q from the sparse fraction-free elimination
+behind the reducer's factor (graphs.sparse_factor), so Kirchhoff's
+|Jac(G)| = det L_q compares the Smith normal form with the elimination
+the reducer actually runs. Everything is exact arbitrary-precision
+integer arithmetic; matrices here are desk-scale.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonzeroDegreeError
-from .graphs import MultiGraph
+from .graphs import MultiGraph, sparse_factor
 from .divisors import Divisor
 
 
@@ -30,30 +33,6 @@ def reduced_laplacian(g: MultiGraph, q):
     return [
         [degs[i] if i == j else -mult[i].get(j, 0) for j in keep] for i in keep
     ]
-
-
-def _bareiss_determinant(matrix):
-    """Exact determinant by fraction-free Gaussian elimination."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def smith_normal_form(matrix):
@@ -189,8 +168,14 @@ def jacobian_structure(g: MultiGraph) -> AbelianGroupStructure:
 
 
 def spanning_tree_count(g: MultiGraph) -> int:
-    """Number of spanning trees, as the reduced-Laplacian determinant."""
-    return _bareiss_determinant(reduced_laplacian(g, g.vertices[0]))
+    """Number of spanning trees, det L_q at the base vertex (Kirchhoff).
+
+    The count runs the reducer's elimination but leaves the graph's factor
+    cache as it was: a caller that only counts trees keeps no factor alive,
+    and the first reduction on the graph pays for its own factor whether or
+    not the trees were counted first.
+    """
+    return sparse_factor(g, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -219,8 +204,9 @@ def class_coordinates(g: MultiGraph, d: Divisor) -> ClassCoordinates:
     u, diag, _ = _snf_at_base(g)
     vec = d.to_vector()[1:]  # drop the base vertex; degree 0 makes it redundant
     coords = []
-    for i, factor in enumerate(diag):
-        y = sum(u[i][j] * vec[j] for j in range(len(vec)))
+    for row, factor in zip(u, diag):
+        # Modulo a factor of 1 every coordinate is 0; skip its dot product.
+        y = sum(a * x for a, x in zip(row, vec)) if factor > 1 else 0
         coords.append(y % factor)
     return ClassCoordinates(
         coordinates=tuple(coords),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DisconnectedError
 from .graphs import MultiGraph, genus
 from .divisors import Divisor, _dhar_unburnt
 from .rank import _Session, _rank_at_least, _rank_of, _rank_reduced
@@ -175,31 +176,16 @@ def gap_sequence(g: MultiGraph, p):
 
 def is_residual_tree_vertex(g: MultiGraph, v) -> bool:
     """True when deleting v and its edges leaves a tree (so v is never a
-    Weierstrass point)."""
+    Weierstrass point). With |E| = |V| - 1 edges left, the rest is a tree
+    exactly when it is connected, which MultiGraph checks on construction."""
     if genus(g) < 2:
         raise ValueError("residual-tree criterion needs genus >= 2")
-    vi = g.index(v)
-    n = len(g.vertices)
-    keep = [i for i in range(n) if i != vi]
-    edges = [
-        (g.index(a), g.index(b))
-        for a, b in g.edges
-        if g.index(a) != vi and g.index(b) != vi
-    ]
-    if len(edges) != len(keep) - 1:
+    g.index(v)  # an unknown vertex is a GraphError
+    edges = [e for e in g.edges if v not in e]
+    if len(edges) != len(g.vertices) - 2:
         return False
-    parent = {i: i for i in keep}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False  # cycle
-        parent[ra] = rb
-    roots = {find(i) for i in keep}
-    return len(roots) == 1
+    try:
+        MultiGraph([w for w in g.vertices if w != v], edges)
+    except DisconnectedError:
+        return False
+    return True

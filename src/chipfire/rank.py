@@ -19,10 +19,11 @@ the duality would assume keep the direct search: riemann_roch_check
 the direct search), gap_sequence (its gap count follows from
 Riemann-Roch), and metric_rr_check and q_rank.
 
-A divisor with negative rank carries an ordering certificate: the Dhar
-burn order of its q-reduced form always yields a degree g-1 divisor that
-dominates it, which is exactly what the dichotomy between "winnable" and
-"dominated by an ordering divisor" requires.
+A divisor with negative rank carries an ordering certificate: the order
+in which divisors._dhar_unburnt, the reducer's burning pass, burns its
+q-reduced form yields a degree g-1 divisor that dominates it, which is
+exactly what the dichotomy between "winnable" and "dominated by an
+ordering divisor" requires.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from .graphs import MultiGraph, genus
 from .divisors import (
     Divisor,
-    burn_order,
+    _dhar_unburnt,
     canonical_divisor,
     is_winnable,
     reduce_vector,
@@ -235,16 +236,20 @@ def nu_divisor(g: MultiGraph, ordering) -> Divisor:
 
 
 def _ordering_certificate(g, d_vec_reduced, d: Divisor):
-    """The burn order of the q-reduced form of d and its nu, which dominates d.
+    """The burning order of the q-reduced form of d and its nu, which dominates d.
 
-    Every vertex after q burns with fewer chips than edges to earlier
-    vertices, so nu >= D there; at q, nu(q) = -1 >= D(q) when D has rank -1.
+    _dhar_unburnt appends a vertex after q only once its edges to earlier
+    vertices exceed its chips, so nu >= D there; at q, nu(q) = -1 >= D(q)
+    when D has rank -1. A vector that does not burn through is not reduced.
     """
-    order_idx = burn_order(g, list(d_vec_reduced), 0)
-    ordering = tuple(g.vertices[i] for i in order_idx)
+    n = len(g.vertices)
+    members, _, _ = _dhar_unburnt(g.adjacency(), d_vec_reduced, 0, n)
+    if len(members) != n:
+        raise AssertionError("vector is not q-reduced: burning stalled")
+    ordering = tuple(g.vertices[i] for i in members)
     nu = nu_divisor(g, ordering)
     if not is_winnable(g, nu - d):
-        raise AssertionError("burn-order nu does not dominate; engine is broken")
+        raise AssertionError("burning-order nu does not dominate; engine is broken")
     return ordering, nu
 
 

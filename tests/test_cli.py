@@ -125,6 +125,17 @@ def test_semicontinuity(capsys):
     assert payload["baseRank"] == 1
 
 
+def test_semicontinuity_malformed_eps_is_error(capsys):
+    for eps in ("x", "1/0"):
+        code, payload = run_json(
+            capsys, "semicontinuity", "banana(4)",
+            '[{"edge": 0, "offset": "1/2", "coeff": 3}]', "--eps", eps,
+        )
+        assert code == 1, eps
+        assert payload["status"] == "error", eps
+        assert "eps" in payload["error"], eps
+
+
 def test_rrcheck(capsys):
     code, payload = run_json(capsys, "rrcheck", "banana(3)", '{"Q1": 1, "Q2": 1}')
     assert code == 0 and payload["equal"] is True
@@ -242,6 +253,8 @@ def test_qrank_malformed_entries_are_input_errors(capsys):
         '[{"vertex": "Q1", "coeff": 1.5}]',
         '[{"edge": 0, "offset": "1/2", "coeff": "x"}]',
         '[{"edge": true, "offset": "1/2", "coeff": 1}]',
+        '[{"edge": 0, "offset": 0.5, "coeff": 3}]',
+        '[{"edge": 0, "offset": 1e-17, "coeff": 3}]',
     ):
         code, payload = run_json(capsys, "qrank", banana, divisor)
         assert code == 1, divisor

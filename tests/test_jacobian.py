@@ -98,6 +98,16 @@ def test_order_equals_tree_count_random_larger():
         assert cf.jacobian_structure(g).order == cf.spanning_tree_count(g)
 
 
+def test_tree_count_is_the_reducers_determinant():
+    """The tree count runs the reducer's elimination without caching it, and
+    agrees with the factor the reducer then caches."""
+    for i in range(20):
+        g = cf.random_multigraph(3 + i % 6, i % 5, seed=9100 + i)
+        trees = cf.spanning_tree_count(g)
+        assert g._factors == {}
+        assert g.reduced_factor(0)[0] == trees == spanning_tree_oracle(g)
+
+
 def test_invariant_factors_independent_of_base_vertex():
     for i in range(20):
         g = cf.random_multigraph(2 + i % 4, i % 5, seed=500 + i)

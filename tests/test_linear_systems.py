@@ -209,6 +209,11 @@ def test_residual_tree_requires_genus_two():
         cf.is_residual_tree_vertex(cf.cycle_graph(4), "v1")
 
 
+def test_residual_tree_unknown_vertex():
+    with pytest.raises(cf.GraphError):
+        cf.is_residual_tree_vertex(cf.banana_graph(3), "nowhere")
+
+
 def test_residual_tree_vertices_are_never_weierstrass():
     for i in range(12):
         g = cf.random_multigraph(2 + i % 5, 2 + i % 4, seed=130 + i)

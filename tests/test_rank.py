@@ -261,6 +261,33 @@ def test_certificates_verify(seed):
     assert res.verify(g, d)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6))
+def test_certificate_ordering_burns_the_reduced_form(seed):
+    """Every vertex after q in nu_ordering has more edges to earlier
+    vertices than chips in the q-reduced form of a rank -1 divisor."""
+    rng = random.Random(seed)
+    g = cf.random_multigraph(2 + seed % 6, seed % 5, seed=seed)
+    q = g.vertices[0]
+    red = cf.q_reduce(g, random_divisor(g, rng, -2, 3), q)
+    red = red - cf.Divisor(g, {q: red[q] + rng.randint(1, 3)})  # rank -1
+    d = red + cf.laplacian_apply(g, random_function(g, rng, -3, 3))
+    res = cf.rank_with_certificate(g, d)
+    assert res.rank == -1
+    assert res.verify(g, d)
+    assert res.nu_ordering[0] == q
+    for i, v in enumerate(res.nu_ordering[1:], start=1):
+        earlier = sum(g.multiplicity(v, w) for w in res.nu_ordering[:i])
+        assert earlier > red[v]
+
+
+def test_ordering_certificate_refuses_unreduced_vector():
+    g = cf.banana_graph(3)
+    d = cf.Divisor(g, {"Q1": -4, "Q2": 3})  # Q2 can fire: not Q1-reduced
+    with pytest.raises(AssertionError, match="not q-reduced"):
+        rank_module._ordering_certificate(g, (-4, 3), d)
+
+
 def test_dichotomy_exhaustive_small():
     """Exactly one of: the divisor is winnable, or some ordering divisor
     dominates it up to equivalence. Checked against all orderings."""
