@@ -12,10 +12,10 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
-from .errors import ChipfireError, MetricError
+from .errors import ChipfireError
 from .graphs import family, genus, parse_graph
 from .divisors import Divisor, canonical_divisor
 from .rank import rank, rank_with_certificate, riemann_roch_check
@@ -41,7 +41,6 @@ from .experiments import (
 class CommandResult:
     status: str  # ok | finding | error
     payload: dict
-    diagnostics: list = field(default_factory=list)
 
     def exit_code(self, strict: bool) -> int:
         if self.status == "error":
@@ -52,7 +51,8 @@ class CommandResult:
 
 
 class InputError(ChipfireError):
-    """Bad command-line input (unknown file, malformed JSON or edge list)."""
+    """A divisor argument that is not JSON of the expected shape, or a bad
+    metric divisor entry; unreadable paths surface as OSError."""
 
 
 _FAMILY_RE = re.compile(r"^([a-z_]+)\(([-0-9,\s]*)\)$")
@@ -60,11 +60,8 @@ _FAMILY_RE = re.compile(r"^([a-z_]+)\(([-0-9,\s]*)\)$")
 
 def _read_arg(text: str) -> str:
     if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {text[1:]!r}: {exc}") from exc
+        with open(text[1:], "r", encoding="utf-8") as fh:
+            return fh.read()
     return text
 
 
@@ -76,54 +73,42 @@ def _load_graph(arg: str):
         name = match.group(1)
         params = [int(p) for p in match.group(2).split(",") if p.strip()]
         return family(name, *params)
-    text = _read_arg(arg).replace(";", "\n")
-    return parse_graph(text)
+    return parse_graph(_read_arg(arg).replace(";", "\n"))
 
 
 def _load_qgraph(arg: str):
-    match = _FAMILY_RE.match(arg.strip())
-    if match:
+    if _FAMILY_RE.match(arg.strip()):
         return QGraph.unit(_load_graph(arg))
-    text = _read_arg(arg).replace(";", "\n")
-    return parse_qgraph(text)
+    return parse_qgraph(_read_arg(arg).replace(";", "\n"))
 
 
-def _json_int(value, what):
-    """A JSON integer as is; true, 1.5, 2.0, "3" and null are rejected, not coerced."""
-    if type(value) is not int:
-        raise InputError(f"{what} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _load_divisor(graph, arg: str) -> Divisor:
-    text = _read_arg(arg)
+def _load_json(arg: str, kind, shape: str):
+    """The divisor argument (inline or @file) as JSON of the given kind;
+    the divisor constructors check what it holds."""
     try:
-        data = json.loads(text)
+        data = json.loads(_read_arg(arg))
     except json.JSONDecodeError as exc:
         raise InputError(
             f"divisor is not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from exc
-    if not isinstance(data, dict):
-        raise InputError("divisor JSON must be an object of label: integer")
+    if not isinstance(data, kind):
+        raise InputError(shape)
+    return data
+
+
+def _load_divisor(graph, arg: str) -> Divisor:
     return Divisor(
-        graph, {k: _json_int(v, f"coefficient of {k!r}") for k, v in data.items()}
+        graph, _load_json(arg, dict, "divisor JSON must be an object of label: integer")
     )
 
 
 def _load_qdivisor(qgraph, arg: str) -> QDivisor:
-    text = _read_arg(arg)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"divisor is not valid JSON (line {exc.lineno}, column {exc.colno})"
-        ) from exc
-    if not isinstance(data, list):
-        raise InputError(
-            'metric divisor JSON must be a list of {"edge", "offset", "coeff"}'
-            ' or {"vertex", "coeff"} entries'
-        )
-    coeffs = {}
+    data = _load_json(
+        arg, list,
+        'metric divisor JSON must be a list of {"edge", "offset", "coeff"}'
+        ' or {"vertex", "coeff"} entries',
+    )
+    total = QDivisor(qgraph)
     for entry in data:
         if not isinstance(entry, dict) or "coeff" not in entry or not (
             "vertex" in entry or ("edge" in entry and "offset" in entry)
@@ -133,22 +118,16 @@ def _load_qdivisor(qgraph, arg: str) -> QDivisor:
                 f' either "vertex" or "edge" and "offset"; got {entry!r}'
             )
         try:
-            coeff = _json_int(entry["coeff"], f"coeff in entry {entry!r}")
             if "vertex" in entry:
                 point = qgraph.vertex_point(entry["vertex"])
             else:
-                edge = _json_int(entry["edge"], f"edge in entry {entry!r}")
-                # The raw JSON value: point() refuses a float offset, which
+                # The raw JSON values: point() refuses a float offset, which
                 # would otherwise be silently rounded to a binary fraction.
-                point = qgraph.point(edge, entry["offset"])
-        except (TypeError, MetricError) as exc:
+                point = qgraph.point(entry["edge"], entry["offset"])
+            total += QDivisor(qgraph, {point: entry["coeff"]})
+        except ChipfireError as exc:
             raise InputError(f"bad metric divisor entry {entry!r}: {exc}") from exc
-        coeffs[point] = coeffs.get(point, 0) + coeff
-    return QDivisor(qgraph, coeffs)
-
-
-def _divisor_json(d: Divisor) -> dict:
-    return d.to_json_dict()
+    return total
 
 
 # -- commands ------------------------------------------------------------
@@ -162,11 +141,11 @@ def _cmd_rank(args) -> CommandResult:
     res = rank_with_certificate(g, d)
     payload = {"rank": res.rank}
     if res.rank >= 0:
-        payload["witness"] = _divisor_json(res.effective_witness)
-        payload["failingE"] = _divisor_json(res.failing_evidence)
+        payload["witness"] = res.effective_witness.to_json_dict()
+        payload["failingE"] = res.failing_evidence.to_json_dict()
     else:
         payload["nuOrdering"] = list(res.nu_ordering)
-        payload["nu"] = _divisor_json(res.nu)
+        payload["nu"] = res.nu.to_json_dict()
     return CommandResult("ok", payload)
 
 
@@ -179,7 +158,7 @@ def _cmd_gonality(args) -> CommandResult:
             "gonality": witness.degree,
             "genus": genus(g),
             "hyperelliptic": genus(g) >= 2 and witness.degree == 2,
-            "witness": _divisor_json(witness.divisor),
+            "witness": witness.divisor.to_json_dict(),
         },
     )
 
@@ -197,7 +176,7 @@ def _cmd_grd(args) -> CommandResult:
             "found": True,
             "degree": witness.degree,
             "rank": witness.rank,
-            "divisor": _divisor_json(witness.divisor),
+            "divisor": witness.divisor.to_json_dict(),
         },
     )
 
@@ -287,10 +266,7 @@ def _cmd_rrcheck(args) -> CommandResult:
 
 
 def _cmd_specialize(args) -> CommandResult:
-    try:
-        fixture = load_fixture(args.fixture)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.fixture!r}: {exc}") from exc
+    fixture = load_fixture(args.fixture)
     g = fixture.graph
     k = canonical_divisor(g)
     rows = []
@@ -300,7 +276,7 @@ def _cmd_specialize(args) -> CommandResult:
         rows.append(
             {
                 "name": report.name,
-                "specialized": _divisor_json(report.specialized),
+                "specialized": report.specialized.to_json_dict(),
                 "degree": report.specialized.degree,
                 "rankG": report.graph_rank,
                 "statedRank": report.stated_rank,
@@ -311,7 +287,7 @@ def _cmd_specialize(args) -> CommandResult:
     return CommandResult(
         "ok" if all_hold else "error",
         {
-            "canonical": _divisor_json(k),
+            "canonical": k.to_json_dict(),
             "divisors": rows,
             "provenance": fixture.provenance,
         },
@@ -319,13 +295,6 @@ def _cmd_specialize(args) -> CommandResult:
 
 
 def _cmd_sweep(args) -> CommandResult:
-    if args.out is not None:
-        # Fail before the sweep runs, not after, when records cannot be written.
-        try:
-            with open(args.out, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out!r}: {exc}") from exc
     kwargs = {"seed": args.seed, "out": args.out}
     if args.kind == "bn":
         result = bn_existence_sweep(
@@ -355,10 +324,7 @@ def _cmd_sweep(args) -> CommandResult:
 
 
 def _cmd_replay(args) -> CommandResult:
-    try:
-        rows = replay_records(args.file)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.file!r}: {exc}") from exc
+    rows = replay_records(args.file)
     mismatches = [
         {"experiment": rec.experiment, "seed": rec.seed, "recomputed": new}
         for rec, ok, new in rows
@@ -423,25 +389,14 @@ def _cmd_fixtures(args) -> CommandResult:
 def _global_flags(parser, suppress):
     """Install the global flags; subparsers get SUPPRESS defaults so values
     set before the subcommand survive."""
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="structured output",
-        **({"default": default} if suppress else {}),
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="base random seed",
-        **({"default": default} if suppress else {"default": 0}),
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 2 when findings are reported",
-        **({"default": default} if suppress else {}),
-    )
+
+    def add(flag, default, **kwargs):
+        default = argparse.SUPPRESS if suppress else default
+        parser.add_argument(flag, default=default, **kwargs)
+
+    add("--json", False, action="store_true", help="structured output")
+    add("--seed", 0, type=int, help="base random seed")
+    add("--strict", False, action="store_true", help="exit 2 when findings are reported")
 
 
 @functools.cache
@@ -462,72 +417,67 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _global_flags(common, suppress=True)
     subparsers = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subparsers.add_parser, parents=[common])
 
-    class _Sub:
-        def add_parser(self, name, **kwargs):
-            return subparsers.add_parser(name, parents=[common], **kwargs)
-
-    sub = _Sub()
-
-    p = sub.add_parser("rank", help="divisor rank, optionally with certificates")
+    p = add_parser("rank", help="divisor rank, optionally with certificates")
     p.add_argument("graph")
     p.add_argument("divisor", help='JSON like {"Q1": 1} or @file')
     p.add_argument("--certificate", action="store_true")
     p.set_defaults(fn=_cmd_rank)
 
-    p = sub.add_parser("gonality", help="least degree of a rank-1 system")
+    p = add_parser("gonality", help="least degree of a rank-1 system")
     p.add_argument("graph")
     p.set_defaults(fn=_cmd_gonality)
 
-    p = sub.add_parser("grd", help="minimal-degree system of given rank")
+    p = add_parser("grd", help="minimal-degree system of given rank")
     p.add_argument("graph")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.set_defaults(fn=_cmd_grd)
 
-    p = sub.add_parser("weierstrass", help="vertices with rank(g(P)) >= 1")
+    p = add_parser("weierstrass", help="vertices with rank(g(P)) >= 1")
     p.add_argument("graph")
     p.set_defaults(fn=_cmd_weierstrass)
 
-    p = sub.add_parser("gaps", help="Weierstrass gap sequence of a vertex")
+    p = add_parser("gaps", help="Weierstrass gap sequence of a vertex")
     p.add_argument("graph")
     p.add_argument("vertex")
     p.set_defaults(fn=_cmd_gaps)
 
-    p = sub.add_parser("jacobian", help="divisor class group structure")
+    p = add_parser("jacobian", help="divisor class group structure")
     p.add_argument("graph")
     p.set_defaults(fn=_cmd_jacobian)
 
-    p = sub.add_parser("qrank", help="rank of a rational divisor on a metric graph")
+    p = add_parser("qrank", help="rank of a rational divisor on a metric graph")
     p.add_argument("graph", help="edge list with rational lengths")
     p.add_argument("divisor", help='JSON list of {"edge", "offset", "coeff"}')
     p.add_argument("--no-audit", action="store_true")
     p.set_defaults(fn=_cmd_qrank)
 
-    p = sub.add_parser("norine-scan", help="ranks of 3(P) along a banana edge")
+    p = add_parser("norine-scan", help="ranks of 3(P) along a banana edge")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--den", type=int, required=True)
     p.set_defaults(fn=_cmd_norine_scan)
 
-    p = sub.add_parser("semicontinuity", help="rank upper-semicontinuity probe")
+    p = add_parser("semicontinuity", help="rank upper-semicontinuity probe")
     p.add_argument("graph")
     p.add_argument("divisor")
     p.add_argument("--eps", required=True, help="rational like 1/6")
     p.add_argument("--samples", type=int, default=50)
     p.set_defaults(fn=_cmd_semicontinuity)
 
-    p = sub.add_parser("rrcheck", help="both sides of the rank identity")
+    p = add_parser("rrcheck", help="both sides of the rank identity")
     p.add_argument("graph")
     p.add_argument("divisor")
     p.set_defaults(fn=_cmd_rrcheck)
 
-    p = sub.add_parser("specialize", help="push curve divisors to the dual graph")
+    p = add_parser("specialize", help="push curve divisors to the dual graph")
     p.add_argument(
         "fixture", nargs="?", default=None, help="fixture JSON (default: bundled quartic)"
     )
     p.set_defaults(fn=_cmd_specialize)
 
-    p = sub.add_parser("sweep", help="seeded conjecture sweeps")
+    p = add_parser("sweep", help="seeded conjecture sweeps")
     p.add_argument("kind", choices=["bn", "gonality", "subdivision"])
     p.add_argument("--gmax", type=int, default=6)
     p.add_argument("--seeds", type=int, default=50)
@@ -536,11 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="append records to this JSONL file")
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("replay", help="re-verify a JSONL record file")
+    p = add_parser("replay", help="re-verify a JSONL record file")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_replay)
 
-    p = sub.add_parser("fixtures", help="run the bundled assertion suite")
+    p = add_parser("fixtures", help="run the bundled assertion suite")
     p.set_defaults(fn=_cmd_fixtures)
 
     return parser
@@ -574,16 +524,15 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         result = args.fn(args)
-    except (ChipfireError, ValueError) as exc:
-        result = CommandResult("error", {"error": str(exc)}, [str(exc)])
+    except (ChipfireError, ValueError, OSError) as exc:
+        # OSError: an unreadable or unwritable path; its str names the file.
+        result = CommandResult("error", {"error": str(exc)})
     if args.json:
         print(json.dumps({"status": result.status, **result.payload}, sort_keys=True))
     elif result.status == "error":
         print(f"error: {result.payload.get('error', result.payload)}", file=sys.stderr)
     else:
         _human(result, args.command)
-        for line in result.diagnostics:
-            print(line, file=sys.stderr)
     return result.exit_code(args.strict)
 
 

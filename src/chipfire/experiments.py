@@ -101,7 +101,10 @@ class ExperimentRecord:
         """Parse one JSONL line. Missing or mistyped entries, an unknown
         experiment, or a missing or mistyped param that it reads raise
         RecordError, so replay never re-runs a malformed record."""
-        data = json.loads(line)
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordError(f"a record must be JSON: {exc.msg}") from exc
         if type(data) is not dict:
             raise RecordError(f"a record must be a JSON object, got {data!r}")
         for key, kind in _RECORD_KINDS.items():
@@ -284,7 +287,12 @@ _PARAM_KINDS = {
 
 
 def _run_instances(name, instances, out=None):
-    """instances: iterable of (graph, params, seed). Returns a SweepResult."""
+    """instances: iterable of (graph, params, seed). Returns a SweepResult.
+
+    An out path that cannot be opened for appending raises OSError before
+    the first instance runs."""
+    if out is not None:
+        open(out, "a", encoding="utf-8").close()
     result = SweepResult()
     fn = _INSTANCE_FUNCTIONS[name]
     for graph, params, seed in instances:
@@ -315,13 +323,22 @@ def _run_instances(name, instances, out=None):
     return result
 
 
-def _sample_graphs(seed_count, seed, gmax, nmax, gmin=1):
-    for i in range(seed_count):
-        s = seed + i
+def _sample_graphs(seed_count, seed, gmax, nmax):
+    """(graph, seed) for seeds seed .. seed + seed_count - 1, the genus and
+    vertex count drawn per seed from [1, gmax] and [2, nmax]. The ranges
+    are checked on the call, before any graph is drawn."""
+    bounds = (("seed_count", seed_count, 0), ("gmax", gmax, 1), ("nmax", nmax, 2))
+    for name, value, least in bounds:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+
+    def sample(s):
         rng = random.Random(f"sample:{s}")
-        g = rng.randint(gmin, gmax)
+        g = rng.randint(1, gmax)
         n = rng.randint(2, nmax)
-        yield random_multigraph(n, g, seed=s), s
+        return random_multigraph(n, g, seed=s), s
+
+    return map(sample, range(seed, seed + seed_count))
 
 
 def bn_existence_sweep(
@@ -334,6 +351,8 @@ def bn_existence_sweep(
     out=None,
 ) -> SweepResult:
     """Brill-Noether existence audit over random graphs of genus <= gmax."""
+    if rmax < 1:
+        raise ValueError("rmax must be >= 1")
     params = {"rmax": rmax, "escalate_kmax": escalate_kmax}
     instances = (
         (graph, params, s)
@@ -402,6 +421,8 @@ def subdivision_invariance_sweep(
     uniform subdivision with factors up to kmax."""
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
+    if rmax < 1:
+        raise ValueError("rmax must be >= 1")
     params = {"kmax": kmax, "rmax": rmax, "grd_audit": grd_audit}
     instances = (
         (graph, params, s)
@@ -414,8 +435,17 @@ def subdivision_invariance_sweep(
 
 
 def read_records(path):
+    """The records of a JSONL file; a malformed one raises RecordError
+    naming its line of the file."""
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [ExperimentRecord.from_json(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(ExperimentRecord.from_json(line))
+                except RecordError as exc:
+                    raise RecordError(f"{path}, line {number}: {exc}") from exc
+    return records
 
 
 def replay_record(record: ExperimentRecord):

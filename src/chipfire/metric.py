@@ -186,28 +186,18 @@ class _MetricSession(_Session):
     A search state is the m model-vertex coefficients followed by one tuple
     of sorted (edge, position, chips) triples for the interior support;
     positions count units of 1/scale from the edge's first endpoint. The
-    search branches over the model vertices, nearest to vertex 0 last by
-    metric distance, which is hop distance on the unit-edge subdivision.
+    search branches over the model vertices in rank._Session's order, by
+    hop distance on the model: they are rank-determining in any order
+    (Luo 2011), so the order only decides which vertex is probed first.
     """
 
     __slots__ = ("scale", "ends", "lengths")
 
     def __init__(self, qg: QGraph, scale: int):
         model = qg.model
-        ends = tuple((model.index(u), model.index(v)) for u, v in model.edges)
-        dist = [math.inf] * len(model.vertices)
-        dist[0] = 0
-        changed = True
-        while changed:  # Bellman-Ford; a model has few vertices
-            changed = False
-            for (u, v), l in zip(ends, qg.lengths):
-                for a, b in ((u, v), (v, u)):
-                    if dist[a] + l < dist[b]:
-                        dist[b] = dist[a] + l
-                        changed = True
-        super().__init__(model, dist=dist)
+        super().__init__(model)
         self.scale = scale
-        self.ends = ends
+        self.ends = tuple((model.index(u), model.index(v)) for u, v in model.edges)
         self.lengths = tuple(_on_grid(l, scale) for l in qg.lengths)
 
     def state(self, d: QDivisor):
@@ -494,6 +484,8 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     """
     import random
 
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     eps = _exact(eps, "eps")
     if eps <= 0:
         raise MetricError("eps must be positive")

@@ -44,9 +44,9 @@ class _Session:
     """Call-local memo of rank-bound queries on one graph.
 
     The rank search subtracts chips at the graph's vertices, farthest
-    from vertex 0 first by dist (hop distance by default). A state is a
-    tuple whose first n entries are the vertex coefficients; reduced and
-    degree are the only operations that read the rest. metric._MetricSession
+    from vertex 0 first by hop distance. A state is a tuple whose first n
+    entries are the vertex coefficients; reduced and degree are the only
+    operations that read the rest. metric._MetricSession
     overrides them to carry the interior support of a divisor on a metric
     graph in one more entry, so on a metric graph the search subtracts
     chips only at the model vertices, a rank-determining set (Luo 2011).
@@ -55,11 +55,10 @@ class _Session:
 
     __slots__ = ("graph", "n", "far_order", "geq_memo")
 
-    def __init__(self, graph: MultiGraph, dist=None):
+    def __init__(self, graph: MultiGraph):
         self.graph = graph
         self.n = len(graph.vertices)
-        if dist is None:
-            dist = graph.distance_layers(0)[0]
+        dist = graph.distance_layers(0)[0]
         self.far_order = sorted(range(self.n), key=lambda v: -dist[v])
         self.geq_memo = {}
 

@@ -227,6 +227,7 @@ def test_replay_missing_file_is_input_error(tmp_path, capsys):
          ' "escalate_kmax": 3}, "result": {}, "seed": 1}', "param 'rmax'"),
         ('{"experiment": "gonality_bound", "graph": "a b", "params": {},'
          ' "result": [], "seed": 1}', "needs dict 'result', got []"),
+        ("not json", "line 2"),
     ],
 )
 def test_replay_malformed_record_is_error(tmp_path, capsys, line, message):
@@ -283,6 +284,35 @@ def test_sweep_out_into_missing_directory_is_input_error(tmp_path, capsys):
     assert code == 1
     assert payload["status"] == "error"
     assert "x.jsonl" in payload["error"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_sweep_out_that_cannot_be_written_is_error(capsys):
+    """Opening /dev/full succeeds; writing the records fails."""
+    code, payload = run_json(
+        capsys, "sweep", "gonality", "--gmax", "2", "--seeds", "1", "--out", "/dev/full"
+    )
+    assert code == 1
+    assert payload["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("sweep", "gonality", "--seeds", "-3"), "seed_count"),
+        (("sweep", "gonality", "--gmax", "0"), "gmax"),
+        (("sweep", "bn", "--rmax", "-1"), "rmax"),
+        (("sweep", "subdivision", "--rmax", "0"), "rmax"),
+        (("semicontinuity", "banana(4)", '[{"edge": 0, "offset": "1/2", "coeff": 3}]',
+          "--eps", "1/6", "--samples", "-2"), "samples"),
+    ],
+)
+def test_out_of_range_count_is_error(capsys, argv, name):
+    """A count out of range is refused, not read as an empty run."""
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert name in payload["error"]
 
 
 def test_specialize_bad_fixtures_are_input_errors(tmp_path, capsys):

@@ -161,6 +161,24 @@ def test_theorem_violation_raises(monkeypatch):
         cf.subdivision_invariance_sweep(kmax=2, seed_count=1, seed=0, gmax=2, nmax=3)
 
 
+def test_unwritable_out_fails_before_any_instance(tmp_path, monkeypatch):
+    """An out path in a missing directory raises before the sweep runs."""
+    from chipfire import experiments
+
+    seen = []
+
+    def spy(graph, params, seed):
+        seen.append(seed)
+        return experiments.gonality_instance(graph, params, seed)
+
+    monkeypatch.setitem(experiments._INSTANCE_FUNCTIONS, "gonality_bound", spy)
+    with pytest.raises(OSError):
+        cf.gonality_bound_sweep(
+            gmax=2, seed_count=2, seed=0, out=str(tmp_path / "missing" / "x.jsonl")
+        )
+    assert seen == []
+
+
 def test_jsonl_append_only(tmp_path):
     out = tmp_path / "append.jsonl"
     cf.gonality_bound_sweep(gmax=2, seed_count=2, seed=1, out=str(out))
