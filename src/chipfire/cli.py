@@ -386,6 +386,39 @@ def _cmd_fixtures(args) -> CommandResult:
 # -- dispatch -------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line that argparse refuses: its message, and the usage
+    text argparse would print with it."""
+
+    def __init__(self, message, text):
+        super().__init__(message)
+        self.text = text
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print usage and exit 2, so
+    main can report it like any other input error."""
+
+    def error(self, message):
+        raise _UsageError(message, f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _at_least(least):
+    """argparse type for an integer flag >= least, so a range error names
+    the flag; the library keeps its own check for library callers."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _global_flags(parser, suppress):
     """Install the global flags; subparsers get SUPPRESS defaults so values
     set before the subcommand survive."""
@@ -408,13 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers' copies of the global flags default to SUPPRESS, so no value
     carries over from one call to the next.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chipfire",
         description="Exact divisor theory on multigraphs and metric Q-graphs.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     _global_flags(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     _global_flags(common, suppress=True)
     subparsers = parser.add_subparsers(dest="command", required=True)
     add_parser = functools.partial(subparsers.add_parser, parents=[common])
@@ -463,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("divisor")
     p.add_argument("--eps", required=True, help="rational like 1/6")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_at_least(0), default=50)
     p.set_defaults(fn=_cmd_semicontinuity)
 
     p = add_parser("rrcheck", help="both sides of the rank identity")
@@ -479,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("sweep", help="seeded conjecture sweeps")
     p.add_argument("kind", choices=["bn", "gonality", "subdivision"])
-    p.add_argument("--gmax", type=int, default=6)
-    p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--rmax", type=int, default=2)
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument("--gmax", type=_at_least(1), default=6)
+    p.add_argument("--seeds", type=_at_least(0), default=50)
+    p.add_argument("--rmax", type=_at_least(1), default=2)
+    p.add_argument("--kmax", type=_at_least(2), default=3)
     p.add_argument("--out", default=None, help="append records to this JSONL file")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -518,10 +551,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit status 2 for usage errors; 2 is reserved for
-        # findings under --strict here, so fold usage problems into 1.
+    except SystemExit as exc:  # --help and --version
         return 0 if not exc.code else 1
+    except _UsageError as exc:
+        # Exit 1, not argparse's 2, which is reserved for findings under
+        # --strict. The flags did not parse, so look for --json by name.
+        if "--json" in argv:
+            print(json.dumps({"status": "error", "error": str(exc)}, sort_keys=True))
+        else:
+            print(exc.text, file=sys.stderr)
+        return 1
     try:
         result = args.fn(args)
     except (ChipfireError, ValueError, OSError) as exc:

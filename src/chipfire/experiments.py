@@ -138,10 +138,15 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
     def write_jsonl(self, path):
-        with open(path, "a", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(record.to_json() + "\n")
-                fh.flush()
+        """Append the records to path; an OSError names the file, also when
+        a write or flush (which knows no file name) fails."""
+        try:
+            with open(path, "a", encoding="utf-8") as fh:
+                for record in self.records:
+                    fh.write(record.to_json() + "\n")
+                    fh.flush()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _random_divisor(graph: MultiGraph, rng) -> Divisor:

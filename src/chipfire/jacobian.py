@@ -1,12 +1,13 @@
 """Integer linear algebra over the graph Laplacian.
 
-Jacobian group structure via Smith normal form, and class coordinates used
-as an equivalence oracle independent of the chip-firing machinery. The
-spanning-tree count is det L_q from the sparse fraction-free elimination
-behind the reducer's factor (graphs.sparse_factor), so Kirchhoff's
-|Jac(G)| = det L_q compares the Smith normal form with the elimination
-the reducer actually runs. Everything is exact arbitrary-precision
-integer arithmetic; matrices here are desk-scale.
+Jacobian group structure via Smith normal form: the ±1 pivots of L_q are
+eliminated on sparse rows, then a dense SNF runs on the small core left.
+Its class coordinates are an equivalence oracle independent of the
+chip-firing machinery. The spanning-tree count is det L_q from the sparse
+fraction-free elimination behind the reducer's factor
+(graphs.sparse_factor), so Kirchhoff's |Jac(G)| = det L_q compares the
+Smith normal form with the elimination the reducer actually runs.
+Everything is exact arbitrary-precision integer arithmetic.
 """
 
 from __future__ import annotations
@@ -146,21 +147,79 @@ class AbelianGroupStructure:
 
 
 def _snf_at_base(g: MultiGraph):
-    """SNF of the reduced Laplacian at the canonical base vertex, cached.
+    """Invariant factors of L_q at the canonical base vertex, and for those
+    above 1 the rows of a unimodular U with U L_q V diagonal, each reduced
+    mod its factor; cached per graph so coordinates are reproducible.
 
-    The transform is fixed at first use per graph so coordinates are
-    reproducible within a session.
+    Unit pivots go first, on sparse rows (Dumas, Saunders and Villard 2001):
+    each ±1 entry of least Markowitz cost (r - 1)(c - 1) clears its column
+    by row operations, which each live row's sparse row of U follows, and
+    gives a factor of 1. Clearing the pivot's row by column operations
+    costs nothing, as V is not kept. The small core left, with no unit
+    entry, goes to the dense smith_normal_form.
     """
     if g._snf_cache is None:
-        matrix = reduced_laplacian(g, g.vertices[0])
-        u, diag, v = smith_normal_form(matrix)
-        object.__setattr__(g, "_snf_cache", (u, tuple(diag), v))
+        degs = g.degrees()
+        # Row and column i stand for vertex i + 1; vertex 0 is the base.
+        rows = {
+            i - 1: {j - 1: -m for j, m in nbrs if j} | {i - 1: degs[i]}
+            for i, nbrs in enumerate(g.adjacency()) if i
+        }
+        urows = {i: {i: 1} for i in rows}
+        cols = {j: set(row) for j, row in rows.items()}  # L_q is symmetric
+        while True:
+            pivot = None
+            for i, row in rows.items():
+                r = len(row) - 1
+                for j, a in row.items():
+                    if a == 1 or a == -1:
+                        cost = r * (len(cols[j]) - 1)
+                        if pivot is None or cost < pivot[0]:
+                            pivot = (cost, i, j)
+            if pivot is None:
+                break
+            _, i, j = pivot
+            prow, purow = rows.pop(i), urows.pop(i)
+            for c in prow:
+                cols[c].discard(i)
+            for k in sorted(cols.pop(j)):
+                row, urow = rows[k], urows[k]
+                f = row.pop(j) * prow[j]  # a unit pivot is its own inverse
+                for c, a in prow.items():
+                    if c != j:
+                        x = row.get(c, 0) - f * a
+                        if x:
+                            row[c] = x
+                            cols[c].add(k)
+                        else:
+                            del row[c]
+                            cols[c].discard(k)
+                for c, a in purow.items():
+                    x = urow.get(c, 0) - f * a
+                    if x:
+                        urow[c] = x
+                    else:
+                        del urow[c]
+        live, live_cols = sorted(rows), sorted(cols)
+        u, diag, _ = smith_normal_form(
+            [[rows[i].get(j, 0) for j in live_cols] for i in live]
+        )
+        nontrivial = []
+        for core_row, factor in zip(u, diag):
+            if factor > 1:
+                out = [0] * (len(degs) - 1)
+                for coef, i in zip(core_row, live):
+                    for c, a in urows[i].items():
+                        out[c] += coef * a
+                nontrivial.append(tuple(x % factor for x in out))
+        ones = (1,) * (len(degs) - 1 - len(live))  # one per unit pivot
+        object.__setattr__(g, "_snf_cache", (ones + tuple(diag), tuple(nontrivial)))
     return g._snf_cache
 
 
 def jacobian_structure(g: MultiGraph) -> AbelianGroupStructure:
     """Invariant factors of the divisor class group Div0/Prin."""
-    _, diag, _ = _snf_at_base(g)
+    diag, _ = _snf_at_base(g)
     order = 1
     for d in diag:
         order *= d
@@ -182,9 +241,9 @@ def spanning_tree_count(g: MultiGraph) -> int:
 class ClassCoordinates:
     """Coordinates of a degree-zero divisor class in the invariant-factor basis.
 
-    The row transform pinning the basis is included so results can be
-    reproduced; coordinates are all zero exactly when the divisor is
-    principal.
+    The row transform pinning the basis, one row per invariant factor above
+    1 (reduced mod that factor), is included so results can be reproduced;
+    coordinates are all zero exactly when the divisor is principal.
     """
 
     coordinates: tuple
@@ -201,15 +260,13 @@ def class_coordinates(g: MultiGraph, d: Divisor) -> ClassCoordinates:
         raise NonzeroDegreeError(
             f"class coordinates need degree 0, got {d.degree}"
         )
-    u, diag, _ = _snf_at_base(g)
+    diag, rows = _snf_at_base(g)
     vec = d.to_vector()[1:]  # drop the base vertex; degree 0 makes it redundant
-    coords = []
-    for row, factor in zip(u, diag):
-        # Modulo a factor of 1 every coordinate is 0; skip its dot product.
-        y = sum(a * x for a, x in zip(row, vec)) if factor > 1 else 0
-        coords.append(y % factor)
+    trivial = len(diag) - len(rows)
+    coords = (0,) * trivial + tuple(
+        sum(a * x for a, x in zip(row, vec)) % factor
+        for row, factor in zip(rows, diag[trivial:])
+    )
     return ClassCoordinates(
-        coordinates=tuple(coords),
-        invariant_factors=tuple(diag),
-        row_transform=tuple(tuple(row) for row in u),
+        coordinates=coords, invariant_factors=diag, row_transform=rows
     )

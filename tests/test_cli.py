@@ -294,6 +294,27 @@ def test_sweep_out_that_cannot_be_written_is_error(capsys):
     )
     assert code == 1
     assert payload["status"] == "error"
+    assert "/dev/full" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "gonality", "--seeds", "x"), "argument --seeds: invalid int value: 'x'"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_usage_error_under_json_is_error_payload(capsys, argv, message):
+    """argparse's refusal is the payload's error, on stdout, with exit 1."""
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["error"].startswith(message)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: chipfire") and message in err
 
 
 @pytest.mark.parametrize(
@@ -308,11 +329,17 @@ def test_sweep_out_that_cannot_be_written_is_error(capsys):
     ],
 )
 def test_out_of_range_count_is_error(capsys, argv, name):
-    """A count out of range is refused, not read as an empty run."""
+    """A count out of range is refused, not read as an empty run. The CLI
+    names its flag; past the parser, the library names its parameter."""
     code, payload = run_json(capsys, *argv)
+    flag, value = argv[-2:]
     assert code == 1
     assert payload["status"] == "error"
-    assert name in payload["error"]
+    assert f"argument {flag}: must be >= " in payload["error"]
+    args = cli.build_parser().parse_args([*argv[:-1], "5"])
+    setattr(args, flag[2:], int(value))
+    with pytest.raises(ValueError, match=name):
+        args.fn(args)
 
 
 def test_specialize_bad_fixtures_are_input_errors(tmp_path, capsys):
