@@ -22,6 +22,7 @@ from .errors import (
     NonIntegerSlopeError,
     NonzeroDegreeError,
     RecordError,
+    SearchDepthError,
     SubdivisionAuditError,
     UnassignedPointError,
     UnboundVertexError,

@@ -295,23 +295,18 @@ def _cmd_specialize(args) -> CommandResult:
 
 
 def _cmd_sweep(args) -> CommandResult:
-    kwargs = {"seed": args.seed, "out": args.out}
-    if args.kind == "bn":
-        result = bn_existence_sweep(
-            gmax=args.gmax, rmax=args.rmax, seed_count=args.seeds, **kwargs
-        )
-    elif args.kind == "gonality":
-        result = gonality_bound_sweep(
-            gmax=args.gmax, seed_count=args.seeds, **kwargs
-        )
-    else:
-        result = subdivision_invariance_sweep(
-            kmax=args.kmax,
-            seed_count=args.seeds,
-            gmax=args.gmax,
-            rmax=args.rmax,
-            **kwargs,
-        )
+    # Looked up on each call, so a test can stand in for a sweep function.
+    sweep, flags = {
+        "bn": (bn_existence_sweep, ("gmax", "rmax")),
+        "gonality": (gonality_bound_sweep, ("gmax",)),
+        "subdivision": (subdivision_invariance_sweep, ("gmax", "rmax", "kmax")),
+    }[args.kind]
+    result = sweep(
+        seed_count=args.seeds,
+        seed=args.seed,
+        out=args.out,
+        **{flag: getattr(args, flag) for flag in flags},
+    )
     payload = {
         "kind": args.kind,
         "records": len(result.records),

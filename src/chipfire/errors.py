@@ -63,6 +63,10 @@ class UnrepresentablePointError(MetricError):
     """A point does not lie at a rational position on its edge."""
 
 
+class SearchDepthError(ChipfireError):
+    """A rank search would recurse deeper than the interpreter allows."""
+
+
 class SubdivisionAuditError(ChipfireError):
     """A rank changed under uniform subdivision; this must never happen."""
 

@@ -5,10 +5,14 @@ uses seed base+i), runs a per-instance check, and appends one
 self-contained JSONL record per instance. Theorem-backed equalities are
 hard assertions; conjecture audits record findings instead of failing,
 because a counterexample to an open conjecture is a discovery, not a bug.
+The Brill-Noether audit escalates a miss to uniform subdivisions with
+factors up to 3. Each experiment's params are declared once, in _SPECS,
+and one check serves a sweep's arguments and a replayed record.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -96,11 +100,17 @@ class ExperimentRecord:
             sort_keys=True,
         )
 
+    @functools.cached_property
+    def parsed_graph(self) -> MultiGraph:
+        """The stored graph text, parsed on first use."""
+        return parse_graph(self.graph)
+
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
         """Parse one JSONL line. Missing or mistyped entries, an unknown
-        experiment, or a missing or mistyped param that it reads raise
-        RecordError, so replay never re-runs a malformed record."""
+        experiment, a param it reads that is missing or out of range, or
+        graph text that does not parse raise RecordError, so replay never
+        re-runs a malformed record. Params it does not read are ignored."""
         try:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -111,17 +121,12 @@ class ExperimentRecord:
             got = data.get(key)
             if type(got) is not kind:
                 raise RecordError(f"record needs {kind.__name__} {key!r}, got {got!r}")
-        experiment, params = data["experiment"], data["params"]
-        if experiment not in _PARAM_KINDS:
+        experiment = data["experiment"]
+        if experiment not in _SPECS:
             raise RecordError(f"unknown experiment {experiment!r}")
-        for key, kind, required in _PARAM_KINDS[experiment]:
-            got = params.get(key)
-            if (required or key in params) and type(got) is not kind:
-                raise RecordError(
-                    f"{experiment} needs {kind.__name__} param {key!r}, got {got!r}"
-                )
-        return cls(
-            experiment=data["experiment"],
+        _check_params(data["params"], _SPECS[experiment][0], RecordError)
+        record = cls(
+            experiment=experiment,
             graph=data["graph"],
             params=data["params"],
             result=data["result"],
@@ -129,6 +134,11 @@ class ExperimentRecord:
             engine_version=data.get("engine_version", "unknown"),
             wall_ms=data.get("wall_ms", 0.0),
         )
+        try:
+            record.parsed_graph  # parsed here once; replay_record reuses it
+        except GraphError as exc:
+            raise RecordError(f"record graph text does not parse: {exc}") from exc
+        return record
 
 
 @dataclass
@@ -149,6 +159,10 @@ class SweepResult:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
+# bn_instance escalates a miss to uniform subdivisions with factors up to this.
+BN_ESCALATION_KMAX = 3
+
+
 def _random_divisor(graph: MultiGraph, rng) -> Divisor:
     n = len(graph.vertices)
     support = rng.sample(range(n), rng.randint(1, min(n, 4)))
@@ -165,33 +179,23 @@ def bn_instance(graph: MultiGraph, params: dict, seed: int) -> dict:
     of rank exactly r with degree at most the nonnegativity threshold?
 
     If no vertex-supported witness exists, the search escalates to uniform
-    subdivisions (rational points of bounded denominator) before reporting
-    a miss; the escalation is the bounded falsification hook for the
-    metric-side statements.
+    subdivisions with factors 2 up to BN_ESCALATION_KMAX = 3 (rational
+    points of bounded denominator) before reporting a miss; the escalation
+    is the bounded falsification hook for the metric-side statements.
     """
     g = genus(graph)
     out = {"genus": g, "per_rank": []}
     for r in range(1, params["rmax"] + 1):
         d = brill_noether_threshold(g, r)
-        witness = min_degree_grd(graph, r, d)
-        entry = {
-            "r": r,
-            "d_threshold": d,
-            "found": witness is not None,
-            "escalated_k": None,
-        }
-        if witness is not None:
-            entry["witness_degree"] = witness.degree
-            entry["witness"] = witness.divisor.to_json_dict()
-        else:
-            for k in range(2, params.get("escalate_kmax", 3) + 1):
-                sub, _ = subdivide(graph, k)
-                w2 = min_degree_grd(sub, r, d)
-                if w2 is not None:
-                    entry["escalated_k"] = k
-                    entry["witness_degree"] = w2.degree
-                    entry["witness"] = w2.divisor.to_json_dict()
-                    break
+        entry = {"r": r, "d_threshold": d, "found": False, "escalated_k": None}
+        for k in range(1, BN_ESCALATION_KMAX + 1):
+            witness = min_degree_grd(graph if k == 1 else subdivide(graph, k)[0], r, d)
+            if witness is not None:
+                entry["found"] = k == 1
+                entry["escalated_k"] = None if k == 1 else k
+                entry["witness_degree"] = witness.degree
+                entry["witness"] = witness.divisor.to_json_dict()
+                break
         out["per_rank"].append(entry)
     out["conjecture_holds"] = all(e["found"] for e in out["per_rank"])
     return out
@@ -234,40 +238,37 @@ def subdivision_instance(graph: MultiGraph, params: dict, seed: int) -> dict:
         "subdivided_ranks": ranks,
         "theorem_ok": theorem_ok,
     }
-    if params.get("grd_audit", True):
-        grd = {}
-        holds = True
-        for r in range(1, params.get("rmax", 2) + 1):
-            base = min_degree_grd(graph, r, g + r)
-            if base is None:
-                raise AssertionError("degree g+r always carries rank r; bug")
-            entry = {"base": base.degree, "subdivided": {}}
-            for k, (sub, vmap) in subdivided.items():
-                # The transported base witness must keep its rank, which
-                # settles existence at the base degree; existence at a given
-                # degree is monotone in the degree, so one check just below
-                # the base rules out every smaller degree. Degrees under the
-                # Clifford/Riemann-Roch floor need no search at all.
-                carried = Divisor(
-                    sub, {vmap[v]: c for v, c in base.divisor.items()}
+    grd = {}
+    holds = True
+    for r in range(1, params["rmax"] + 1):
+        base = min_degree_grd(graph, r, g + r)
+        if base is None:
+            raise AssertionError("degree g+r always carries rank r; bug")
+        entry = {"base": base.degree, "subdivided": {}}
+        for k, (sub, vmap) in subdivided.items():
+            # The transported base witness must keep its rank, which
+            # settles existence at the base degree; existence at a given
+            # degree is monotone in the degree, so one check just below
+            # the base rules out every smaller degree. Degrees under the
+            # Clifford/Riemann-Roch floor need no search at all.
+            carried = Divisor(sub, {vmap[v]: c for v, c in base.divisor.items()})
+            if rank(sub, carried) < r:
+                raise AssertionError(
+                    "rank must survive subdivision at the base degree; bug"
                 )
-                if rank(sub, carried) < r:
-                    raise AssertionError(
-                        "rank must survive subdivision at the base degree; bug"
-                    )
-                d_below = base.degree - 1
-                smaller = (
-                    exists_grd_witness(sub, r, d_below)
-                    if d_below >= rank_degree_floor(g, r)
-                    else None
-                )
-                value = base.degree if smaller is None else smaller.degree
-                entry["subdivided"][str(k)] = value
-                if value != base.degree:
-                    holds = False
-            grd[str(r)] = entry
-        out["grd_degrees"] = grd
-        out["conjecture_holds"] = holds
+            d_below = base.degree - 1
+            smaller = (
+                exists_grd_witness(sub, r, d_below)
+                if d_below >= rank_degree_floor(g, r)
+                else None
+            )
+            value = base.degree if smaller is None else smaller.degree
+            entry["subdivided"][str(k)] = value
+            if value != base.degree:
+                holds = False
+        grd[str(r)] = entry
+    out["grd_degrees"] = grd
+    out["conjecture_holds"] = holds
     return out
 
 
@@ -277,109 +278,80 @@ _INSTANCE_FUNCTIONS = {
     "subdivision_invariance": subdivision_instance,
 }
 
-# The JSON kinds of a record's entries, and (param, kind, required) for the
-# params each experiment reads; its instance function defaults the others.
-_RECORD_KINDS = dict(experiment=str, graph=str, params=dict, result=dict, seed=int)
-_PARAM_KINDS = {
-    "bn_existence": (("rmax", int, True), ("escalate_kmax", int, False)),
-    "gonality_bound": (),
-    "subdivision_invariance": (
-        ("kmax", int, True),
-        ("rmax", int, False),
-        ("grd_audit", bool, False),
-    ),
+# Per experiment: the int params its instance function reads, each with its
+# least value, and the payload key whose False marks a finding.
+_SPECS = {
+    "bn_existence": ({"rmax": 1}, "conjecture_holds"),
+    "gonality_bound": ({}, "within_bound"),
+    "subdivision_invariance": ({"kmax": 2, "rmax": 1}, "conjecture_holds"),
 }
+# The least values of the sampler's arguments, and the JSON kinds of a
+# record's entries.
+_SAMPLER_LEAST = {"seed_count": 0, "gmax": 1, "nmax": 2}
+_RECORD_KINDS = dict(experiment=str, graph=str, params=dict, result=dict, seed=int)
 
 
-def _run_instances(name, instances, out=None):
-    """instances: iterable of (graph, params, seed). Returns a SweepResult.
+def _check_params(params, least, error):
+    """Raise error naming the first key of least (name -> least value) whose
+    entry in params is missing, not an int, or below its least value."""
+    for key, low in least.items():
+        got = params.get(key)
+        if type(got) is not int or got < low:
+            raise error(f"param {key!r} must be an int >= {low}, got {got!r}")
 
-    An out path that cannot be opened for appending raises OSError before
-    the first instance runs."""
+
+def _sweep(name, params, seed_count, seed, gmax, nmax, out):
+    """Run experiment name with params on one graph per seed in seed ..
+    seed + seed_count - 1, its genus and vertex count drawn per seed from
+    [1, gmax] and [2, nmax]; append the records to out if given.
+
+    The arguments are checked, and out is opened for appending, before the
+    first graph is drawn; a check failure raises ValueError."""
+    least, finding = _SPECS[name]
+    sampler = {"seed_count": seed_count, "gmax": gmax, "nmax": nmax}
+    _check_params({**sampler, **params}, {**_SAMPLER_LEAST, **least}, ValueError)
     if out is not None:
         open(out, "a", encoding="utf-8").close()
     result = SweepResult()
     fn = _INSTANCE_FUNCTIONS[name]
-    for graph, params, seed in instances:
+    for s in range(seed, seed + seed_count):
+        rng = random.Random(f"sample:{s}")
+        g = rng.randint(1, gmax)
+        graph = random_multigraph(rng.randint(2, nmax), g, seed=s)
         started = time.perf_counter()
-        payload = fn(graph, params, seed)
+        payload = fn(graph, params, s)
         elapsed = (time.perf_counter() - started) * 1000.0
         record = ExperimentRecord(
             experiment=name,
             graph=serialize_graph(graph),
             params=params,
             result=payload,
-            seed=seed,
+            seed=s,
             wall_ms=round(elapsed, 3),
         )
         result.records.append(record)
-        if payload.get("conjecture_holds") is False or (
-            name == "gonality_bound" and not payload["within_bound"]
-        ):
-            result.findings.append(
-                {"experiment": name, "seed": seed, "result": payload}
-            )
+        if payload[finding] is False:
+            result.findings.append({"experiment": name, "seed": s, "result": payload})
         if not payload.get("theorem_ok", True):
-            raise AssertionError(
-                f"theorem violation in {name} at seed {seed}: {payload}"
-            )
+            raise AssertionError(f"theorem violation in {name} at seed {s}: {payload}")
     if out is not None:
         result.write_jsonl(out)
     return result
 
 
-def _sample_graphs(seed_count, seed, gmax, nmax):
-    """(graph, seed) for seeds seed .. seed + seed_count - 1, the genus and
-    vertex count drawn per seed from [1, gmax] and [2, nmax]. The ranges
-    are checked on the call, before any graph is drawn."""
-    bounds = (("seed_count", seed_count, 0), ("gmax", gmax, 1), ("nmax", nmax, 2))
-    for name, value, least in bounds:
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}")
-
-    def sample(s):
-        rng = random.Random(f"sample:{s}")
-        g = rng.randint(1, gmax)
-        n = rng.randint(2, nmax)
-        return random_multigraph(n, g, seed=s), s
-
-    return map(sample, range(seed, seed + seed_count))
-
-
 def bn_existence_sweep(
-    gmax: int,
-    rmax: int,
-    seed_count: int,
-    seed: int = 0,
-    nmax: int = 7,
-    escalate_kmax: int = 3,
-    out=None,
+    gmax: int, rmax: int, seed_count: int, seed: int = 0, nmax: int = 7, out=None
 ) -> SweepResult:
     """Brill-Noether existence audit over random graphs of genus <= gmax."""
-    if rmax < 1:
-        raise ValueError("rmax must be >= 1")
-    params = {"rmax": rmax, "escalate_kmax": escalate_kmax}
-    instances = (
-        (graph, params, s)
-        for graph, s in _sample_graphs(seed_count, seed, gmax, nmax)
-    )
-    return _run_instances("bn_existence", instances, out=out)
+    return _sweep("bn_existence", {"rmax": rmax}, seed_count, seed, gmax, nmax, out)
 
 
 def gonality_bound_sweep(
-    gmax: int,
-    seed_count: int,
-    seed: int = 0,
-    nmax: int = 7,
-    out=None,
+    gmax: int, seed_count: int, seed: int = 0, nmax: int = 7, out=None
 ) -> SweepResult:
     """Gonality vs floor((g+3)/2) over random graphs, with per-genus maxima
     and the small-family tightness witnesses recorded on the side."""
-    instances = (
-        (graph, {}, s)
-        for graph, s in _sample_graphs(seed_count, seed, gmax, nmax)
-    )
-    result = _run_instances("gonality_bound", instances, out=out)
+    result = _sweep("gonality_bound", {}, seed_count, seed, gmax, nmax, out)
     max_seen = {}
     for record in result.records:
         g = record.result["genus"]
@@ -419,21 +391,12 @@ def subdivision_invariance_sweep(
     gmax: int = 5,
     nmax: int = 6,
     rmax: int = 2,
-    grd_audit: bool = True,
     out=None,
 ) -> SweepResult:
     """Rank invariance (hard) and minimal-degree invariance (audit) under
     uniform subdivision with factors up to kmax."""
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
-    if rmax < 1:
-        raise ValueError("rmax must be >= 1")
-    params = {"kmax": kmax, "rmax": rmax, "grd_audit": grd_audit}
-    instances = (
-        (graph, params, s)
-        for graph, s in _sample_graphs(seed_count, seed, gmax, nmax)
-    )
-    return _run_instances("subdivision_invariance", instances, out=out)
+    params = {"kmax": kmax, "rmax": rmax}
+    return _sweep("subdivision_invariance", params, seed_count, seed, gmax, nmax, out)
 
 
 # -- replay -----------------------------------------------------------------
@@ -458,8 +421,7 @@ def replay_record(record: ExperimentRecord):
 
     Returns (matches, recomputed payload)."""
     fn = _INSTANCE_FUNCTIONS[record.experiment]
-    graph = parse_graph(record.graph)
-    payload = fn(graph, record.params, record.seed)
+    payload = fn(record.parsed_graph, record.params, record.seed)
     return payload == record.result, payload
 
 

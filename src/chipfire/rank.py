@@ -24,12 +24,17 @@ in which divisors._dhar_unburnt, the reducer's burning pass, burns its
 q-reduced form yields a degree g-1 divisor that dominates it, which is
 exactly what the dichotomy between "winnable" and "dominated by an
 ordering divisor" requires.
+
+The search for "rank >= k" recurses k levels deep; past the interpreter's
+recursion limit it raises SearchDepthError.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
+from .errors import SearchDepthError
 from .graphs import MultiGraph, genus
 from .divisors import (
     Divisor,
@@ -121,6 +126,18 @@ def _rank_geq(sess, red, k):
     return result is True
 
 
+def _search(sess, red, k):
+    """_rank_geq(sess, red, k) for an entry point of the search: a stack
+    overflow becomes SearchDepthError here, once, not a check per node."""
+    try:
+        return _rank_geq(sess, red, k)
+    except RecursionError:
+        raise SearchDepthError(
+            f"a rank search {k} levels deep exceeds the recursion limit"
+            f" ({sys.getrecursionlimit()})"
+        ) from None
+
+
 def _rank_reduced(sess, red):
     """Exact rank of a q-reduced coefficient tuple."""
     if red[0] < 0:
@@ -129,13 +146,13 @@ def _rank_reduced(sess, red):
     two_g_minus_2 = 2 * genus(sess.graph) - 2
     if deg > two_g_minus_2:
         forced = deg - genus(sess.graph)
-        if not _rank_geq(sess, red, forced):
+        if not _search(sess, red, forced):
             raise AssertionError(
                 "high-degree rank audit failed; the reduction engine is broken"
             )
         return forced
     k = 0
-    while _rank_geq(sess, red, k + 1):
+    while _search(sess, red, k + 1):
         k += 1
     return k
 
@@ -155,7 +172,7 @@ def _dual(sess, red):
 def _rank_at_least(sess, red, k):
     """r(D) >= k for a q-reduced D, searched on K - D when _dual says so."""
     red, shift = _dual(sess, red)
-    return k - shift < 0 or _rank_geq(sess, red, k - shift)
+    return k - shift < 0 or _search(sess, red, k - shift)
 
 
 def _rank_of(sess, red):
@@ -268,7 +285,7 @@ def rank_with_certificate(g: MultiGraph, d: Divisor) -> RankResult:
         )
     # The high-degree branch never searches rank + 1, so search it here;
     # the memo then records the first failing vertex at every step.
-    if _rank_geq(sess, red, value + 1):
+    if _search(sess, red, value + 1):
         raise AssertionError("no failing evidence at rank+1; engine is broken")
     failing = [0] * len(g.vertices)
     node, k = red, value + 1

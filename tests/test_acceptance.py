@@ -92,7 +92,7 @@ def test_criterion_3_riemann_roch_500():
 def test_criterion_4_subdivision_theorem_50():
     started = time.perf_counter()
     result = cf.subdivision_invariance_sweep(
-        kmax=3, seed_count=50, seed=40_000, gmax=5, nmax=6, grd_audit=False
+        kmax=3, seed_count=50, seed=40_000, gmax=5, nmax=6
     )
     ok = len(result.records) == 50
     violations = sum(1 for r in result.records if not r.result["theorem_ok"])
@@ -203,7 +203,7 @@ def test_criterion_9_conjecture_audits():
     )
     bn = cf.bn_existence_sweep(gmax=6, rmax=2, seed_count=200, seed=91_000, nmax=7)
     sub = cf.subdivision_invariance_sweep(
-        kmax=3, seed_count=50, seed=92_000, gmax=5, nmax=6, grd_audit=True
+        kmax=3, seed_count=50, seed=92_000, gmax=5, nmax=6
     )
     findings = len(gon.findings) + len(bn.findings) + len(sub.findings)
     completed = (

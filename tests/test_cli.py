@@ -225,6 +225,13 @@ def test_replay_missing_file_is_input_error(tmp_path, capsys):
          ' "result": {}, "seed": 1}', "param 'kmax'"),
         ('{"experiment": "bn_existence", "graph": "a b", "params": {"rmax": "2",'
          ' "escalate_kmax": 3}, "result": {}, "seed": 1}', "param 'rmax'"),
+        ('{"experiment": "subdivision_invariance", "graph": "a b", "params":'
+         ' {"kmax": 1, "rmax": 2}, "result": {}, "seed": 1}',
+         "param 'kmax' must be an int >= 2, got 1"),
+        ('{"experiment": "bn_existence", "graph": "a b", "params": {"rmax": 0},'
+         ' "result": {}, "seed": 1}', "param 'rmax' must be an int >= 1, got 0"),
+        ('{"experiment": "gonality_bound", "graph": "a a\\n", "params": {},'
+         ' "result": {}, "seed": 1}', "line 2: record graph text does not parse"),
         ('{"experiment": "gonality_bound", "graph": "a b", "params": {},'
          ' "result": [], "seed": 1}', "needs dict 'result', got []"),
         ("not json", "line 2"),
@@ -239,6 +246,20 @@ def test_replay_malformed_record_is_error(tmp_path, capsys, line, message):
     assert code == 1
     assert payload["status"] == "error"
     assert message in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "banana(3)", '{"Q1": 5000}'),
+        ("qrank", "banana(4)", '[{"vertex": "Q1", "coeff": 5000}]'),
+    ],
+)
+def test_too_deep_rank_search_is_error(capsys, argv):
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert "recursion limit" in payload["error"]
 
 
 def test_qrank_malformed_entries_are_input_errors(capsys):

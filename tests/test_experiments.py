@@ -118,7 +118,7 @@ def test_subdivision_sweep_theorem_and_audit():
 def test_subdivision_banana_example():
     graph = cf.banana_graph(3)
     payload = cf.experiments.subdivision_instance(
-        graph, {"kmax": 2, "rmax": 1, "grd_audit": True}, seed=0
+        graph, {"kmax": 2, "rmax": 1}, seed=0
     )
     assert payload["grd_degrees"]["1"]["base"] == 2
     assert payload["grd_degrees"]["1"]["subdivided"]["2"] == 2
@@ -133,6 +133,38 @@ def test_replay_matches(tmp_path):
     assert len(rows) == 3
     for record, ok, recomputed in rows:
         assert ok, (record.seed, recomputed)
+
+
+# Record lines as written when escalate_kmax and grd_audit were params.
+_OLD_RECORDS = (
+    '{"engine_version": "0.1.0", "experiment": "bn_existence", "graph": "# vertices:'
+    ' v1 v2\\nv1 v2\\nv2 v1\\n", "params": {"escalate_kmax": 3, "rmax": 1}, "result":'
+    ' {"conjecture_holds": true, "genus": 1, "per_rank": [{"d_threshold": 2,'
+    ' "escalated_k": null, "found": true, "r": 1, "witness": {"v1": 2},'
+    ' "witness_degree": 2}]}, "seed": 0, "wall_ms": 0.139}',
+    '{"engine_version": "0.1.0", "experiment": "subdivision_invariance", "graph":'
+    ' "# vertices: v1 v2\\nv1 v2\\nv2 v1\\n", "params": {"grd_audit": true, "kmax": 2,'
+    ' "rmax": 1}, "result": {"conjecture_holds": true, "divisor": {"v1": 2},'
+    ' "genus": 1, "grd_degrees": {"1": {"base": 2, "subdivided": {"2": 2}}},'
+    ' "rank": 1, "subdivided_ranks": {"2": 1}, "theorem_ok": true}, "seed": 0,'
+    ' "wall_ms": 0.366}',
+)
+
+
+def test_records_carry_only_the_params_read_and_old_records_replay(tmp_path):
+    """A sweep records only the params its experiment reads; replay ignores
+    params an experiment no longer reads."""
+    bn = cf.bn_existence_sweep(gmax=1, rmax=1, seed_count=1, seed=0, nmax=2)
+    sub = cf.subdivision_invariance_sweep(
+        kmax=2, rmax=1, seed_count=1, seed=0, gmax=1, nmax=2
+    )
+    assert bn.records[0].params == {"rmax": 1}
+    assert sub.records[0].params == {"kmax": 2, "rmax": 1}
+    path = tmp_path / "old.jsonl"
+    path.write_text("".join(line + "\n" for line in _OLD_RECORDS))
+    rows = cf.replay_records(str(path))
+    assert [ok for _, ok, _ in rows] == [True, True]
+    assert [new for _, _, new in rows] == [bn.records[0].result, sub.records[0].result]
 
 
 def test_replay_detects_tampering(tmp_path):

@@ -317,6 +317,33 @@ def test_single_vertex_graph_ranks():
 # -- Riemann-Roch -------------------------------------------------------------
 
 
+def _deep_q_rank(g):
+    qg = cf.QGraph.unit(g)
+    return cf.q_rank(qg, cf.QDivisor(qg, {qg.vertex_point("Q1"): 5000}))
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        # the high-degree audit, under each entry point that reaches it
+        lambda g: cf.rank(g, cf.Divisor(g, {"Q1": 990})),
+        lambda g: cf.rank_with_certificate(g, cf.Divisor(g, {"Q1": 2000})),
+        lambda g: cf.riemann_roch_check(g, cf.Divisor(g, {"Q1": 2000})),
+        _deep_q_rank,
+        # "rank >= r" for a g^r_d
+        lambda g: cf.min_degree_grd(g, 3000, 3002),
+    ],
+    ids=["rank", "rank_with_certificate", "riemann_roch_check", "q_rank", "min_degree_grd"],
+)
+def test_too_deep_search_is_typed_error(search):
+    """The search recurses once per level: past the interpreter's recursion
+    limit it raises SearchDepthError; well inside it, the value stands."""
+    g = cf.banana_graph(3)
+    with pytest.raises(cf.SearchDepthError, match="recursion limit"):
+        search(g)
+    assert cf.rank(g, cf.Divisor(g, {"Q1": 500})) == 498
+
+
 def test_rr_banana_pair():
     g = cf.banana_graph(3)
     rep = cf.riemann_roch_check(g, cf.Divisor(g, {"Q1": 1, "Q2": 1}))
