@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DisconnectedError
 from .graphs import MultiGraph, genus
-from .divisors import Divisor, _dhar_unburnt
+from .divisors import Divisor, superstable_configs
 from .rank import _Session, _rank_at_least, _rank_of, _rank_reduced
 
 
@@ -24,41 +24,6 @@ class GrdWitness:
     divisor: Divisor
     degree: int
     rank: int
-
-
-def superstable_configs(g: MultiGraph, max_size=None):
-    """Yield all superstable configurations as dense tuples (base entry 0).
-
-    A configuration is superstable when burning from the base vertex
-    consumes the whole graph. Subconfigurations of superstable ones are
-    superstable, so a failed extension cuts its branch. Configurations come
-    in lexicographic order of their entries, found by a loop rather than by
-    recursion, so the vertex count is not bounded by the recursion limit.
-    """
-    n = len(g.vertices)
-    adj = g.adjacency()
-    degs = g.degrees()
-    if max_size is None:
-        max_size = sum(degs[i] - 1 for i in range(1, n))
-    vec = [0] * n
-    total = 0
-    yield tuple(vec)
-    pos = n - 1
-    while pos:
-        # Raise the last entry that can still grow; every entry after it is
-        # zero, and zero needs no new check.
-        if vec[pos] < degs[pos] - 1 and total < max_size:
-            vec[pos] += 1
-            members, _, _ = _dhar_unburnt(adj, vec, 0, n)
-            if len(members) == n:
-                total += 1
-                yield tuple(vec)
-                pos = n - 1
-                continue
-            vec[pos] -= 1  # larger values fail too
-        total -= vec[pos]
-        vec[pos] = 0
-        pos -= 1
 
 
 def _witness_at_degree(sess, g, r, d):

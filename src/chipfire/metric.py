@@ -37,7 +37,9 @@ from .errors import (
 )
 from .graphs import MultiGraph, banana_graph, genus, _parse_edge_list
 from .divisors import _DivisorCore, _dhar_unburnt, canonical_divisor
-from .rank import RiemannRochReport, _Session, _rank_reduced, _riemann_roch_report
+from .rank import (
+    RiemannRochReport, _Session, _rank_reduced, _riemann_roch_report, _search
+)
 
 
 def _exact(x, what) -> Fraction:
@@ -232,6 +234,10 @@ class _MetricSession(_Session):
             if not source and len(members) == len(chips):
                 return (*vertex, interior)
             vertex, interior = self._fire_unburnt(chips, segs, burnt, interior)
+
+    def audit_high_degree(self, red, k):
+        # Infinitely many effective classes; the model-vertex search is finite.
+        return _search(self, red, k)
 
     def _segments(self, vertex, interior):
         """Chips and segments of the special points: the model vertices, then

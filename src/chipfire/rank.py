@@ -13,8 +13,9 @@ the smaller degree and a search deg D - g + 1 levels shallower, so
 rank(), the g^r_d enumeration and weierstrass_points search K - D
 instead. At deg D = g - 1 both searches have the same depth and the dual
 would only cost one more reduction; above 2g - 2 the value deg D - g is
-forced and the direct search audits it. Callers that check an identity
-the duality would assume keep the direct search: riemann_roch_check
+forced, and the session audits it: one reduction per effective class of
+degree deg D - g, or on a metric graph the search. Callers that check an
+identity the duality would assume keep the direct search: riemann_roch_check
 (both sides), rank_with_certificate (its failing evidence is read off
 the direct search), gap_sequence (its gap count follows from
 Riemann-Roch), and metric_rr_check and q_rank.
@@ -42,6 +43,7 @@ from .divisors import (
     canonical_divisor,
     is_winnable,
     reduce_vector,
+    superstable_configs,
 )
 
 
@@ -50,8 +52,8 @@ class _Session:
 
     The rank search subtracts chips at the graph's vertices, farthest
     from vertex 0 first by hop distance. A state is a tuple whose first n
-    entries are the vertex coefficients; reduced and degree are the only
-    operations that read the rest. metric._MetricSession
+    entries are the vertex coefficients; reduced, degree and the audit are
+    the only operations that read the rest. metric._MetricSession
     overrides them to carry the interior support of a divisor on a metric
     graph in one more entry, so on a metric graph the search subtracts
     chips only at the model vertices, a rank-determining set (Luo 2011).
@@ -74,6 +76,18 @@ class _Session:
 
     def degree(self, red):
         return sum(red)
+
+    def audit_high_degree(self, red, k):
+        """r(D) >= k for a q-reduced D of degree k + g > 2g - 2. Whether
+        D - E is winnable depends only on the class of E, so one E per
+        effective class of degree k is tested: its q-reduced member
+        (k - |c|)(q) + c, c superstable with |c| <= k."""
+        for c in superstable_configs(self.graph, max_size=k):
+            vec = [a - b for a, b in zip(red, c)]
+            vec[0] -= k - sum(c)
+            if reduce_vector(self.graph, vec, 0)[0] < 0:
+                return False
+        return True
 
     def probe_order(self, red):
         # Zero-coefficient vertices far from the base fail soonest.
@@ -143,14 +157,13 @@ def _rank_reduced(sess, red):
     if red[0] < 0:
         return -1
     deg = sess.degree(red)
-    two_g_minus_2 = 2 * genus(sess.graph) - 2
-    if deg > two_g_minus_2:
-        forced = deg - genus(sess.graph)
-        if not _search(sess, red, forced):
+    gg = genus(sess.graph)
+    if deg > 2 * gg - 2:
+        if not sess.audit_high_degree(red, deg - gg):
             raise AssertionError(
                 "high-degree rank audit failed; the reduction engine is broken"
             )
-        return forced
+        return deg - gg
     k = 0
     while _search(sess, red, k + 1):
         k += 1

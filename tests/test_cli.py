@@ -251,7 +251,8 @@ def test_replay_malformed_record_is_error(tmp_path, capsys, line, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("rank", "banana(3)", '{"Q1": 5000}'),
+        # failing evidence at rank + 1: a search 4,999 levels deep
+        ("rank", "banana(3)", '{"Q1": 5000}', "--certificate"),
         ("qrank", "banana(4)", '[{"vertex": "Q1", "coeff": 5000}]'),
     ],
 )
@@ -260,6 +261,12 @@ def test_too_deep_rank_search_is_error(capsys, argv):
     assert code == 1
     assert payload["status"] == "error"
     assert "recursion limit" in payload["error"]
+
+
+def test_high_degree_rank_needs_no_deep_search(capsys):
+    code, payload = run_json(capsys, "rank", "banana(3)", '{"Q1": 5000}')
+    assert code == 0
+    assert payload == {"rank": 4998, "status": "ok"}
 
 
 def test_qrank_malformed_entries_are_input_errors(capsys):

@@ -110,6 +110,71 @@ def test_clifford_degree_two(seed):
     assert r <= 1
 
 
+# -- the high-degree audit -----------------------------------------------------
+
+
+def _high_degree_case(seed):
+    """A random multigraph, or its 2-3x subdivision, with a reduced divisor
+    of degree 2g - 1 to 2g + 1 (above 2g - 2, so the rank is forced)."""
+    rng = random.Random(seed)
+    g = cf.random_multigraph(2 + seed % 4, seed % 4, seed=seed)
+    if seed % 3:
+        g, _ = cf.subdivide(g, 1 + seed % 3)
+    gg = cf.genus(g)
+    n = len(g.vertices)
+    vec = [0] * n
+    for _ in range(2 * gg - 1 + rng.randint(0, 2)):
+        vec[rng.randrange(n)] += 1
+    vec[rng.randrange(n)] -= rng.randint(0, 1)
+    vec[0] += max(0, 2 * gg - 1 - sum(vec), -sum(vec))  # winnable on a tree too
+    sess = rank_module._Session(g)
+    return g, sess, sess.reduced(tuple(vec)), sum(vec) - gg
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6))
+def test_high_degree_audit_matches_search(seed):
+    """One reduction per effective class of degree k decides r(D) >= k the
+    way the search over chip removals does: True at k = deg D - g, False at
+    k + 1; on tiny graphs the oracle gives deg D - g as well."""
+    g, sess, red, k = _high_degree_case(seed)
+    assert sess.audit_high_degree(red, k) is True
+    assert rank_module._search(rank_module._Session(g), red, k) is True
+    assert sess.audit_high_degree(red, k + 1) is False
+    assert rank_module._search(rank_module._Session(g), red, k + 1) is False
+    if len(g.vertices) <= 4:
+        assert rank_oracle(g, list(red)) == k
+
+
+def test_high_degree_audit_catches_a_chip_short_at_q():
+    """A reducer that leaves one class of the audit a chip short at q makes
+    rank() raise the audit's AssertionError, so the audit is a live check."""
+    g = cf.complete_graph(4)
+    d = cf.Divisor(g, {"v1": 3, "v2": 1, "v3": 1})  # reduced, degree 2g - 1
+    k = 2
+    real_reduce = rank_module.reduce_vector
+    target = None
+    for c in cf.superstable_configs(g, max_size=k):
+        vec = [a - b for a, b in zip(d.to_vector(), c)]
+        vec[0] -= k - sum(c)
+        if real_reduce(g, list(vec), 0)[0] == 0:
+            target = vec  # the tightest classes: nothing to spare at q
+            break
+    assert target is not None
+
+    def short_reduce(graph, vec, q=0):
+        hit = list(vec) == target
+        real_reduce(graph, vec, q)
+        if hit:
+            vec[q] -= 1
+        return vec
+
+    with mock.patch.object(rank_module, "reduce_vector", short_reduce):
+        with pytest.raises(AssertionError, match="high-degree rank audit failed"):
+            cf.rank(g, d)
+    assert cf.rank(g, d) == 2
+
+
 # -- branching over a rank-determining set -------------------------------------
 
 
@@ -325,15 +390,14 @@ def _deep_q_rank(g):
 @pytest.mark.parametrize(
     "search",
     [
-        # the high-degree audit, under each entry point that reaches it
-        lambda g: cf.rank(g, cf.Divisor(g, {"Q1": 990})),
+        # the search for failing evidence at rank + 1
         lambda g: cf.rank_with_certificate(g, cf.Divisor(g, {"Q1": 2000})),
-        lambda g: cf.riemann_roch_check(g, cf.Divisor(g, {"Q1": 2000})),
+        # the metric high-degree audit
         _deep_q_rank,
         # "rank >= r" for a g^r_d
         lambda g: cf.min_degree_grd(g, 3000, 3002),
     ],
-    ids=["rank", "rank_with_certificate", "riemann_roch_check", "q_rank", "min_degree_grd"],
+    ids=["rank_with_certificate", "q_rank", "min_degree_grd"],
 )
 def test_too_deep_search_is_typed_error(search):
     """The search recurses once per level: past the interpreter's recursion
@@ -341,7 +405,17 @@ def test_too_deep_search_is_typed_error(search):
     g = cf.banana_graph(3)
     with pytest.raises(cf.SearchDepthError, match="recursion limit"):
         search(g)
-    assert cf.rank(g, cf.Divisor(g, {"Q1": 500})) == 498
+    assert cf.rank_with_certificate(g, cf.Divisor(g, {"Q1": 500})).rank == 498
+
+
+def test_high_degree_rank_needs_no_deep_search():
+    """Above 2g - 2 the finite-graph audit reduces once per effective class,
+    so the forced rank stands at any number of chips."""
+    g = cf.banana_graph(3)
+    assert cf.rank(g, cf.Divisor(g, {"Q1": 990})) == 988
+    report = cf.riemann_roch_check(g, cf.Divisor(g, {"Q1": 2000}))
+    assert (report.rank, report.equal) == (1998, True)
+    assert cf.rank(g, cf.Divisor(g, {"Q1": 5000})) == 4998
 
 
 def test_rr_banana_pair():
@@ -388,17 +462,28 @@ def test_duality_differential(seed):
     deg = d.degree
 
     searched = []
+    audited = []
     real_search = rank_module._rank_geq
+    real_audit = rank_module._Session.audit_high_degree
 
     def recorded_search(sess, red, k):
         searched.append(red)
         return real_search(sess, red, k)
 
-    with mock.patch.object(rank_module, "_rank_geq", recorded_search):
+    def recorded_audit(sess, red, k):
+        audited.append(red)
+        return real_audit(sess, red, k)
+
+    with (
+        mock.patch.object(rank_module, "_rank_geq", recorded_search),
+        mock.patch.object(rank_module._Session, "audit_high_degree", recorded_audit),
+    ):
         value = cf.rank(g, d)
     assert value == _direct_rank(g, d) == rank_oracle(g, vec)
     dual = gg <= deg <= 2 * gg - 2
     start = cf.canonical_divisor(g) - d if dual else d
-    if searched:
-        assert searched[0] == tuple(cf.q_reduce(g, start, g.vertices[0]).to_vector())
-    assert searched or deg <= 2 * gg - 2, "the high-degree audit did not run"
+    started = audited + searched
+    if started:
+        assert started[0] == tuple(cf.q_reduce(g, start, g.vertices[0]).to_vector())
+    assert audited or deg <= 2 * gg - 2, "the high-degree audit did not run"
+    assert not (audited and searched), "the high-degree audit ran a search"
