@@ -2,11 +2,14 @@
 """Time the superstable high-degree rank audit against the chip-removal search.
 
 Above degree 2g - 2 the rank of D is forced to k = deg D - g (Riemann-Roch
-for graphs, Baker-Norine 2007), and rank() audits r(D) >= k with one
-reduction per effective class of degree k, one per superstable
-configuration of size at most k (rank._Session.audit_high_degree). The
-search rank._search decides the same statement by removing chips one at a
-time, k levels deep. For every graph of a fixed panel (K5, K6, seeded
+for graphs, Baker-Norine 2007), and rank() audits r(D) >= k over the
+effective classes of degree k, one per superstable configuration c of size
+at most k (rank._Session.audit_high_degree). It walks the configurations
+in enumeration order: each c is an earlier one plus a chip at v, so the
+reduced form of D - c is one chip removal away, at most one lending, and
+no reduction at all when the earlier form has a chip at v. The search
+rank._search decides the same statement by removing chips one at a time,
+k levels deep. For every graph of a fixed panel (K5, K6, seeded
 random multigraphs, and 2x and 3x subdivisions of genus-2 and genus-3
 graphs) and one seeded reduced divisor of each degree 2g - 1, 2g and
 2g + 1, both run on a fresh copy of the graph and a fresh session; a row

@@ -246,14 +246,22 @@ def superstable_configs(g: MultiGraph, max_size=None):
     in lexicographic order of their entries, found by a loop rather than by
     recursion, so the vertex count is not bounded by the recursion limit.
     """
+    yield from (config for config, _ in _superstable_steps(g, max_size))
+
+
+def _superstable_steps(g: MultiGraph, max_size):
+    """superstable_configs as (config, v) pairs: each config but the zero
+    one (v = 0) is the last one of one chip fewer plus a chip at v."""
     n = len(g.vertices)
     adj = g.adjacency()
     degs = g.degrees()
     if max_size is None:
         max_size = sum(degs[i] - 1 for i in range(1, n))
+    if max_size < 0:
+        return
     vec = [0] * n
     total = 0
-    yield tuple(vec)
+    yield tuple(vec), 0
     pos = n - 1
     while pos:
         # Raise the last entry that can still grow; every entry after it is
@@ -263,7 +271,7 @@ def superstable_configs(g: MultiGraph, max_size=None):
             members, _, _ = _dhar_unburnt(adj, vec, 0, n)
             if len(members) == n:
                 total += 1
-                yield tuple(vec)
+                yield tuple(vec), pos
                 pos = n - 1
                 continue
             vec[pos] -= 1  # larger values fail too
@@ -320,8 +328,10 @@ def _fire_floor_potential(g: MultiGraph, vec, q):
                 vec[j] += x * mult
 
 
-def reduce_vector(g: MultiGraph, vec, q=0):
-    """q-reduce a dense coefficient list in place and return it."""
+def reduce_vector(g: MultiGraph, vec, q=0, _one_short=False):
+    """q-reduce a dense coefficient list in place and return it; vec[q] + a
+    reduces to the same plus a at q. With _one_short (a q-reduced divisor
+    minus one chip away from q) lending ends on the reduced form: no pass from q."""
     n = len(g.vertices)
     if n == 1:
         return vec
@@ -339,6 +349,8 @@ def reduce_vector(g: MultiGraph, vec, q=0):
         _settle_debts(g, vec, q)
     while True:
         source = v if vec[v] < 0 else q
+        if _one_short and source != v:
+            return vec
         members, burnt, threat = _dhar_unburnt(adj, vec, q, n, source)
         if source == q:
             if len(members) == n:

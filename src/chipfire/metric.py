@@ -215,7 +215,7 @@ class _MetricSession(_Session):
     def degree(self, red):
         return sum(red[:-1]) + sum(c for _, _, c in red[-1])
 
-    def reduced(self, vec_tuple):
+    def _reduce(self, vec_tuple, one_short):
         """The q-reduced state (q = vertex 0) equivalent to vec_tuple.
 
         The loop of divisors.reduce_vector, and its burning pass, on the
@@ -224,7 +224,8 @@ class _MetricSession(_Session):
         step that declares a state reduced. Either way the unburnt set
         fires toward the burnt one, across the shortest frontier segment:
         one step here for as many unit-edge firings as that segment is
-        long, since every point it passes holds no chips.
+        long, since every point it passes holds no chips. one_short is
+        not used: the pass from q always runs here.
         """
         vertex, interior = vec_tuple[:-1], vec_tuple[-1]
         while True:

@@ -5,7 +5,8 @@ test, for every effective divisor E of degree k, that D - E is equivalent
 to an effective divisor. A caller that knows a rank-determining set may
 restrict E to it. The per-E test goes through q-reduced representatives;
 the answers "rank >= k" are memoized per call on the reduced form, so
-equivalent branches of the search are shared.
+equivalent branches of the search are shared, and reductions on the part
+away from q, since the coefficient at q only shifts their result.
 
 Riemann-Roch for graphs (Baker-Norine 2007) gives
 r(D) = deg D - g + 1 + r(K - D). When g <= deg D <= 2g - 2, K - D has
@@ -13,9 +14,10 @@ the smaller degree and a search deg D - g + 1 levels shallower, so
 rank(), the g^r_d enumeration and weierstrass_points search K - D
 instead. At deg D = g - 1 both searches have the same depth and the dual
 would only cost one more reduction; above 2g - 2 the value deg D - g is
-forced, and the session audits it: one reduction per effective class of
-degree deg D - g, or on a metric graph the search. Callers that check an
-identity the duality would assume keep the direct search: riemann_roch_check
+forced, and the session audits it: one reduced member per effective class
+of degree deg D - g, each one chip from an earlier one, or on a metric
+graph the search. Callers that check an identity the duality would
+assume keep the direct search: riemann_roch_check
 (both sides), rank_with_certificate (its failing evidence is read off
 the direct search), gap_sequence (its gap count follows from
 Riemann-Roch), and metric_rr_check and q_rank.
@@ -40,10 +42,10 @@ from .graphs import MultiGraph, genus
 from .divisors import (
     Divisor,
     _dhar_unburnt,
+    _superstable_steps,
     canonical_divisor,
     is_winnable,
     reduce_vector,
-    superstable_configs,
 )
 
 
@@ -52,7 +54,7 @@ class _Session:
 
     The rank search subtracts chips at the graph's vertices, farthest
     from vertex 0 first by hop distance. A state is a tuple whose first n
-    entries are the vertex coefficients; reduced, degree and the audit are
+    entries are the vertex coefficients; _reduce, degree and the audit are
     the only operations that read the rest. metric._MetricSession
     overrides them to carry the interior support of a divisor on a metric
     graph in one more entry, so on a metric graph the search subtracts
@@ -60,7 +62,7 @@ class _Session:
     Both reductions run the one burning pass of divisors.reduce_vector.
     """
 
-    __slots__ = ("graph", "n", "far_order", "geq_memo")
+    __slots__ = ("graph", "n", "far_order", "geq_memo", "reduce_memo")
 
     def __init__(self, graph: MultiGraph):
         self.graph = graph
@@ -68,11 +70,19 @@ class _Session:
         dist = graph.distance_layers(0)[0]
         self.far_order = sorted(range(self.n), key=lambda v: -dist[v])
         self.geq_memo = {}
+        self.reduce_memo = {}
 
-    def reduced(self, vec_tuple):
-        vec = list(vec_tuple)
-        reduce_vector(self.graph, vec, 0)
-        return tuple(vec)
+    def reduced(self, vec_tuple, one_short=False):
+        """The q-reduced form, memoized on the part away from q (vertex 0)."""
+        key = vec_tuple[1:]
+        hit = self.reduce_memo.get(key)
+        if hit is None:
+            red = self._reduce(vec_tuple, one_short)
+            hit = self.reduce_memo[key] = (red[0] - vec_tuple[0], red[1:])
+        return (vec_tuple[0] + hit[0],) + hit[1]
+
+    def _reduce(self, vec_tuple, one_short):
+        return tuple(reduce_vector(self.graph, list(vec_tuple), 0, one_short))
 
     def degree(self, red):
         return sum(red)
@@ -81,11 +91,15 @@ class _Session:
         """r(D) >= k for a q-reduced D of degree k + g > 2g - 2. Whether
         D - E is winnable depends only on the class of E, so one E per
         effective class of degree k is tested: its q-reduced member
-        (k - |c|)(q) + c, c superstable with |c| <= k."""
-        for c in superstable_configs(self.graph, max_size=k):
-            vec = [a - b for a, b in zip(red, c)]
-            vec[0] -= k - sum(c)
-            if reduce_vector(self.graph, vec, 0)[0] < 0:
+        (k - |c|)(q) + c, c superstable with |c| <= k. Each c is an earlier
+        one plus a chip at v, so the reduced D - c is one _child step away,
+        and D - E is winnable when it keeps k - |c| chips at q."""
+        path = [red]  # path[s]: reduced D - c for the last c of size s
+        for c, v in _superstable_steps(self.graph, k):
+            s = sum(c)
+            if s:
+                path[s:] = [_child(self, path[s - 1], v)]
+            if path[s][0] < k - s:
                 return False
         return True
 
@@ -105,13 +119,14 @@ def _child(sess, red, v):
     whose coefficient is unconstrained) keeps the divisor q-reduced, so
     only newly indebted vertices need an actual reduction, and that one
     chip of debt is repaid by lending, the burning pass run outward from
-    the debtor (divisors.reduce_vector).
+    the debtor (divisors.reduce_vector), with no confirming pass: lending
+    ends on the reduced form. The session memo keys it by the part away from q.
     """
     vec = list(red)
     vec[v] -= 1
     if v == 0 or red[v] >= 1:
         return tuple(vec)
-    return sess.reduced(tuple(vec))
+    return sess.reduced(tuple(vec), one_short=True)
 
 
 def _rank_geq(sess, red, k):

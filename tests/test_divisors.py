@@ -331,7 +331,8 @@ def test_lending_lands_on_the_reduced_form(seed):
     v) must end on the q-reduced form R after exactly t(v) rounds, where
     C + L t = R and t(q) = 0 come from the oracle's exact solve (the
     corollary in divisors.reduce_vector), and the one Dhar pass from q
-    after it must leave nothing unburnt."""
+    after it must leave nothing unburnt. That pass is the one _one_short
+    skips; with it the reducer runs the same lending passes and returns R."""
     rng = random.Random(seed)
     g = cf.random_multigraph(rng.randint(2, 7), rng.randint(0, 5), seed=seed)
     g, _ = cf.subdivide(g, rng.randint(1, 4))
@@ -356,9 +357,14 @@ def test_lending_lands_on_the_reduced_form(seed):
 
     with mock.patch.object(divisors, "_dhar_unburnt", counted_pass):
         out = divisors.reduce_vector(g, list(start), q)
-    rounds = sum(source != q for source, _ in passes)
-    assert all(source == v for source, _ in passes[:rounds])
-    assert passes[rounds:] == [(q, n)]  # one pass, and nothing was left unburnt
+        lending = passes[:]
+        passes.clear()
+        early = divisors.reduce_vector(g, list(start), q, _one_short=True)
+    rounds = sum(source != q for source, _ in lending)
+    assert all(source == v for source, _ in lending[:rounds])
+    assert lending[rounds:] == [(q, n)]  # one pass, and nothing was left unburnt
+    # _one_short skips exactly that pass and ends where the full path does
+    assert early == out and passes == lending[:rounds]
     assert all(c >= 0 for i, c in enumerate(out) if i != q)
     assert equivalent_oracle(g, start, out)
     assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[q])
@@ -367,6 +373,40 @@ def test_lending_lands_on_the_reduced_form(seed):
     t.insert(q, 0)
     assert all(x.denominator == 1 and x >= 0 for x in t)
     assert rounds == t[v]
+
+
+def test_reduction_shifts_with_the_coefficient_at_q():
+    """Nothing in reduce_vector depends on vec[q]: adding a chips at q adds a
+    to the reduced form at q and changes nothing else (rank._Session keys
+    its memo on that). Random multigraphs and their subdivisions, a random
+    root q, and debts from one chip up to thousands, where the rounding
+    step runs; some cases must round and some must not."""
+    rounded = []
+    real_round = divisors._fire_floor_potential
+
+    def counted_round(g, vec, q):
+        rounded.append(1)
+        return real_round(g, vec, q)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.integers(0, 10**6))
+    def check(seed):
+        rng = random.Random(seed)
+        g = cf.random_multigraph(rng.randint(2, 7), rng.randint(0, 5), seed=seed)
+        g, _ = cf.subdivide(g, rng.randint(1, 3))
+        n = len(g.vertices)
+        q = rng.randrange(n)
+        amplitude = rng.choice((1, 4, 1000))
+        vec = [rng.randint(-amplitude, amplitude) for _ in range(n)]
+        a = rng.randint(-2 * amplitude, 2 * amplitude)
+        out = divisors.reduce_vector(g, list(vec), q)
+        vec[q] += a
+        out[q] += a
+        assert divisors.reduce_vector(g, vec, q) == out
+
+    with mock.patch.object(divisors, "_fire_floor_potential", counted_round):
+        check()
+    assert 0 < len(rounded) < 240
 
 
 def test_canonical_divisor_quartic():

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 import chipfire as cf
+from chipfire import divisors
 
 from oracles import (
     all_small_multigraphs,
@@ -288,6 +289,28 @@ def test_superstable_configs_order_and_long_cycle():
             cap = max_size if max_size is not None else sum(g.degrees())
             got = list(cf.superstable_configs(g, max_size=max_size))
             assert got == _superstable_oracle(g, cap)
+    # the high-degree audit's walk: each configuration but the zero one is
+    # the last one yielded with one chip fewer, plus a chip at v
+    for i in range(12):
+        g = cf.random_multigraph(2 + i % 5, i % 4, seed=400 + i)
+        last = {}
+        for c, v in divisors._superstable_steps(g, None):
+            s = sum(c)
+            if s:
+                parent = list(c)
+                parent[v] -= 1
+                assert tuple(parent) == last[s - 1]
+            else:
+                assert v == 0
+            last[s] = c
     # one configuration per vertex plus the empty one, with no recursion
     # limit on the vertex count
     assert len(list(cf.superstable_configs(cf.cycle_graph(1500), max_size=1))) == 1500
+
+
+def test_superstable_configs_below_size_zero_is_empty():
+    """Regression: a negative max_size yielded the zero configuration,
+    whose size 0 exceeds it."""
+    g = cf.banana_graph(3)
+    assert list(cf.superstable_configs(g, max_size=-1)) == []
+    assert list(cf.superstable_configs(g, max_size=0)) == [(0, 0)]

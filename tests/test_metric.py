@@ -175,6 +175,25 @@ def test_native_reduction_matches_unit_model(case):
         assert cf.q_rank(qg, d) == cf.rank(graph, unit_d)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(metric_divisors(), st.integers(-20, 20))
+def test_metric_reduction_shifts_with_the_coefficient_at_q(case, a):
+    """The metric reduction never depends on the chips at q (vertex 0): a
+    more there reduce to the same state plus a at q. rank._Session memoizes
+    reductions on the rest of the state, and its answer for the shifted
+    state is the direct one."""
+    qg, d = case
+    sess = _MetricSession(qg, _clearing_scale(qg, d))
+    state = sess.state(d)
+    shifted = (state[0] + a, *state[1:])
+    red = sess._reduce(state, False)
+    expected = (red[0] + a, *red[1:])
+    assert sess._reduce(shifted, False) == expected
+    assert sess.reduced(state) == red
+    assert sess.reduced(shifted) == expected
+    assert len(sess.reduce_memo) == 1
+
+
 # -- q_rank ----------------------------------------------------------------
 
 

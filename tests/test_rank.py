@@ -147,24 +147,32 @@ def test_high_degree_audit_matches_search(seed):
 
 
 def test_high_degree_audit_catches_a_chip_short_at_q():
-    """A reducer that leaves one class of the audit a chip short at q makes
-    rank() raise the audit's AssertionError, so the audit is a live check."""
+    """A reducer that leaves one lending step of the audit's walk a chip
+    short at q makes rank() raise the audit's AssertionError, so the audit
+    is a live check. The step chosen is a tight one: its reduced form of
+    D - c keeps exactly k - |c| = deg - g chips at q, nothing to spare."""
     g = cf.complete_graph(4)
+    gg = cf.genus(g)
     d = cf.Divisor(g, {"v1": 3, "v2": 1, "v3": 1})  # reduced, degree 2g - 1
-    k = 2
     real_reduce = rank_module.reduce_vector
-    target = None
-    for c in cf.superstable_configs(g, max_size=k):
-        vec = [a - b for a, b in zip(d.to_vector(), c)]
-        vec[0] -= k - sum(c)
-        if real_reduce(g, list(vec), 0)[0] == 0:
-            target = vec  # the tightest classes: nothing to spare at q
-            break
-    assert target is not None
+    lent = []
 
-    def short_reduce(graph, vec, q=0):
+    def recorded_reduce(graph, vec, q=0, _one_short=False):
+        start = list(vec)
+        real_reduce(graph, vec, q, _one_short)
+        if _one_short:
+            lent.append((start, list(vec)))
+        return vec
+
+    with mock.patch.object(rank_module, "reduce_vector", recorded_reduce):
+        assert cf.rank(g, d) == 2
+    tight = [start for start, out in lent if out[0] == sum(out) - gg]
+    assert tight, "no lending step of the walk is tight at q"
+    target = tight[0]
+
+    def short_reduce(graph, vec, q=0, _one_short=False):
         hit = list(vec) == target
-        real_reduce(graph, vec, q)
+        real_reduce(graph, vec, q, _one_short)
         if hit:
             vec[q] -= 1
         return vec
