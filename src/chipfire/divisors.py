@@ -2,25 +2,30 @@
 
 A divisor is an integer vector indexed by the vertices of a fixed graph;
 linear equivalence is difference by a Laplacian image. Equality of classes
-is decided through the unique q-reduced representative, reached in three
-steps: settle, round, then lend or burn.
+is decided through the unique q-reduced representative, reached by one of
+three routes, chosen by the debt away from q: lend, max-script or burn.
 
-- Settle. Debt away from q is settled by one far-to-near pass over the
-  distance layers of q, unless it is one chip at one vertex v (what the
-  rank search produces when it removes a chip from a reduced divisor).
-- Round. Only when more than sum(deg) = 2|E| chips sit away from q,
-  fire the rounded-down exact solution of the reduced-Laplacian system
-  (Baker-Shokrieh 2013) through a sparse fraction-free factor of L_q
-  cached per graph and root, and settle again. Rounding leaves every
-  coefficient away from q strictly between -deg(v) and deg(v), so
-  large-debt inputs skip the thousands of burning passes that would each
-  move chips one step.
-- Lend or burn. While v is in debt, lend: unfire the set that burns
-  outward from v with q fireproof. Then Dhar-burn from q, the only step
-  that declares a vector reduced; after lending on a reduced divisor
-  minus one chip it fires nothing. _dhar_unburnt is the one burning pass
-  behind both steps, the superstable enumeration, metric reduction and
-  the burning order of rank's ordering certificate.
+- Lend. One chip of debt at one vertex v (what the rank search produces
+  when it removes a chip from a reduced divisor): while v is in debt,
+  unfire the set that burns outward from v with q fireproof, then
+  Dhar-burn from q once; after lending on a reduced divisor minus one
+  chip that pass fires nothing, and rank skips it.
+- Max-script. Any other debt: fire the rounded-down exact solution
+  x = floor(L_q^-1 D_q) of the reduced-Laplacian system (Baker-Shokrieh
+  2013) through a sparse fraction-free factor of L_q cached per graph and
+  root, then unfire each remaining debtor as often as it needs. Legal
+  firing scripts are closed under max, and every step stays above the
+  largest one, whose result is the q-reduced form, so no burning pass
+  runs at all (the lemma at _lower_to_max_script).
+- Burn. No debt: Dhar-burn from q and fire the unburnt set as often as
+  it legally can, until everything burns. Above sum(deg) = 2|E| chips away
+  from q, first fire x as above and settle what it leaves by one
+  far-to-near pass over the distance layers of q, so large inputs skip
+  the thousands of burning passes that would each move chips one step.
+
+_dhar_unburnt is the one burning pass behind lending and burning, the
+superstable enumeration, metric reduction and the burning order of
+rank's ordering certificate.
 """
 
 from __future__ import annotations
@@ -150,6 +155,14 @@ class Divisor(_DivisorCore):
         return cls(graph, {graph.vertices[i]: c for i, c in enumerate(vec) if c})
 
 
+def _bound_vector(g: MultiGraph, d: Divisor):
+    """d.to_vector(), provided d is bound to g or to a graph equal to it;
+    otherwise its vector would be read in another vertex order."""
+    if d.graph is not g and d.graph != g:
+        raise UnboundVertexError("divisor is bound to a different graph")
+    return d.to_vector()
+
+
 def divisor_of_vertex(graph: MultiGraph, label, coeff=1) -> Divisor:
     return Divisor(graph, {label: coeff})
 
@@ -164,14 +177,21 @@ def zero_divisor(graph: MultiGraph) -> Divisor:
 def laplacian_apply(g: MultiGraph, f) -> Divisor:
     """Apply the Laplacian to an integer vertex function.
 
-    f maps every vertex label to an integer; the result sums
-    (f(v) - f(w)) over all edge ends at v and always has degree zero.
+    f maps every vertex label to an int, and nothing else; the result sums
+    (f(v) - f(w)) over all edge ends at v and always has degree zero. Values
+    are never coerced, as in a Divisor.
     """
+    for label in f:
+        if not g.has_vertex(label):
+            raise UnboundVertexError(f"vertex {label!r} not in graph")
+    vals = []
     for v in g.vertices:
         if v not in f:
             raise MissingVertexError(f"function missing vertex {v!r}")
+        if type(f[v]) is not int:  # bool, float, str, ... are never coerced
+            raise DivisorError(f"value at {v!r} must be an int, got {f[v]!r}")
+        vals.append(f[v])
     adj = g.adjacency()
-    vals = [int(f[v]) for v in g.vertices]
     coeffs = {}
     for i, v in enumerate(g.vertices):
         total = 0
@@ -328,6 +348,46 @@ def _fire_floor_potential(g: MultiGraph, vec, q):
                 vec[j] += x * mult
 
 
+def _lower_to_max_script(g: MultiGraph, vec, q):
+    """q-reduce vec in place and return it: fire
+    x = floor(L_q^-1 D_q), then unfire each debtor v ceil(-vec[v] / deg v)
+    times until none is left. No burning pass runs.
+
+    Lemma. Call an integer vector f with f(q) = 0 legal for D when D - L f is
+    nonnegative away from q. The largest legal f* exists, x >= f*, and
+    D - L f* is the q-reduced form of D; if f >= f* and (D - L f)(v) < 0 at
+    some v != q, then f - ceil(-(D - L f)(v) / deg v) 1_v >= f* still. Proof:
+    if f and f' are legal, so is h = max(f, f'): at v with h(v) = f(v),
+    (L h)(v) <= (L f)(v) since h >= f at the neighbours. Every legal f has
+    L_q f_q <= D_q, and L_q^-1 is entrywise nonnegative, so f <= x, an
+    integer bound; and some f is legal (every class has a member that is
+    nonnegative away from q). So f* exists, and D - L f* is q-reduced: a
+    nonempty set A avoiding q that could fire legally from it would make
+    f* + 1_A legal. For the step, let u = f - f* >= 0. Then
+    0 <= (D - L f*)(v) = (D - L f)(v) + deg(v) u(v) - sum of u over the
+    neighbours of v <= (D - L f)(v) + deg(v) u(v), so u(v) is at least the
+    number of unfirings. Each round lowers f, which stays >= f*, so the loop
+    stops; it stops when f is legal, that is at f = f*. This is the least
+    action principle (Fey-Levine-Peres 2010) run from above.
+    """
+    _fire_floor_potential(g, vec, q)
+    adj = g.adjacency()
+    degs = g.degrees()
+    # x moved chips, so the debtors are found again; a vertex joins the
+    # worklist when it falls into debt and is out of debt when it leaves.
+    debtors = [i for i in range(len(vec)) if vec[i] < 0 and i != q]
+    while debtors:
+        v = debtors.pop()
+        t = (degs[v] - 1 - vec[v]) // degs[v]
+        vec[v] += t * degs[v]
+        for j, mult in adj[v]:
+            c = vec[j]
+            vec[j] = c - t * mult
+            if c >= 0 > vec[j] and j != q:
+                debtors.append(j)
+    return vec
+
+
 def reduce_vector(g: MultiGraph, vec, q=0, _one_short=False):
     """q-reduce a dense coefficient list in place and return it; vec[q] + a
     reduces to the same plus a at q. With _one_short (a q-reduced divisor
@@ -341,7 +401,7 @@ def reduce_vector(g: MultiGraph, vec, q=0, _one_short=False):
     if len(debtors) == 1 and vec[debtors[0]] == -1:
         v = debtors[0]
     elif debtors:
-        _settle_debts(g, vec, q)
+        return _lower_to_max_script(g, vec, q)
     # Rounding leaves fewer than sum(deg) = 2|E| chips away from q; below
     # that, burning alone has only a bounded amount of work left.
     if sum(vec) - vec[q] > 2 * len(g.edges):
@@ -401,14 +461,14 @@ def q_reduce(g: MultiGraph, d: Divisor, q) -> Divisor:
     without driving one of its members negative.
     """
     qi = g.index(q)
-    vec = d.to_vector()
+    vec = _bound_vector(g, d)
     reduce_vector(g, vec, qi)
     return Divisor.from_vector(g, vec)
 
 
 def is_q_reduced(g: MultiGraph, d: Divisor, q) -> bool:
     qi = g.index(q)
-    vec = d.to_vector()
+    vec = _bound_vector(g, d)
     if any(vec[i] < 0 for i in range(len(vec)) if i != qi):
         return False
     members, _, _ = _dhar_unburnt(g.adjacency(), vec, qi, len(vec))
@@ -417,10 +477,10 @@ def is_q_reduced(g: MultiGraph, d: Divisor, q) -> bool:
 
 def is_equivalent(g: MultiGraph, d1: Divisor, d2: Divisor) -> bool:
     """Linear equivalence: equal degree and equal q-reduction at the first vertex."""
-    if d1.degree != d2.degree:
+    v1 = _bound_vector(g, d1)
+    v2 = _bound_vector(g, d2)
+    if sum(v1) != sum(v2):
         return False
-    v1 = d1.to_vector()
-    v2 = d2.to_vector()
     if v1 == v2:
         return True
     reduce_vector(g, v1, 0)
@@ -430,7 +490,7 @@ def is_equivalent(g: MultiGraph, d1: Divisor, d2: Divisor) -> bool:
 
 def is_winnable(g: MultiGraph, d: Divisor) -> bool:
     """True iff d is equivalent to an effective divisor."""
-    vec = d.to_vector()
+    vec = _bound_vector(g, d)
     reduce_vector(g, vec, 0)
     return vec[0] >= 0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NonzeroDegreeError
 from .graphs import MultiGraph, sparse_factor
-from .divisors import Divisor
+from .divisors import Divisor, _bound_vector
 
 
 def reduced_laplacian(g: MultiGraph, q):
@@ -256,12 +256,12 @@ class ClassCoordinates:
 
 def class_coordinates(g: MultiGraph, d: Divisor) -> ClassCoordinates:
     """Image of a degree-zero divisor in the invariant-factor decomposition."""
+    vec = _bound_vector(g, d)[1:]  # drop the base vertex; degree 0 makes it redundant
     if d.degree != 0:
         raise NonzeroDegreeError(
             f"class coordinates need degree 0, got {d.degree}"
         )
     diag, rows = _snf_at_base(g)
-    vec = d.to_vector()[1:]  # drop the base vertex; degree 0 makes it redundant
     trivial = len(diag) - len(rows)
     coords = (0,) * trivial + tuple(
         sum(a * x for a, x in zip(row, vec)) % factor

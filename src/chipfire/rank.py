@@ -41,6 +41,7 @@ from .errors import SearchDepthError
 from .graphs import MultiGraph, genus
 from .divisors import (
     Divisor,
+    _bound_vector,
     _dhar_unburnt,
     _superstable_steps,
     canonical_divisor,
@@ -59,7 +60,11 @@ class _Session:
     overrides them to carry the interior support of a divisor on a metric
     graph in one more entry, so on a metric graph the search subtracts
     chips only at the model vertices, a rank-determining set (Luo 2011).
-    Both reductions run the one burning pass of divisors.reduce_vector.
+    Here _reduce is divisors.reduce_vector: a search step (one chip of debt)
+    lends through its burning pass, other indebted states take the
+    max-script route with no burning pass, and debt-free ones burn. The
+    metric session runs the lend-and-burn loop, with the same pass, on
+    segments.
     """
 
     __slots__ = ("graph", "n", "far_order", "geq_memo", "reduce_memo")
@@ -214,13 +219,13 @@ def rank(g: MultiGraph, d: Divisor) -> int:
     largest k such that removing any k chips leaves a winnable divisor.
     Searched on K - d when genus <= deg d <= 2 genus - 2 (Riemann-Roch)."""
     sess = _Session(g)
-    return _rank_of(sess, sess.reduced(tuple(d.to_vector())))
+    return _rank_of(sess, sess.reduced(tuple(_bound_vector(g, d))))
 
 
 def _direct_rank(g: MultiGraph, d: Divisor) -> int:
     """rank(g, d) by the search on d itself, never through K - d."""
     sess = _Session(g)
-    return _rank_reduced(sess, sess.reduced(tuple(d.to_vector())))
+    return _rank_reduced(sess, sess.reduced(tuple(_bound_vector(g, d))))
 
 
 # -- certificates -------------------------------------------------------------
@@ -300,7 +305,7 @@ def _ordering_certificate(g, d_vec_reduced, d: Divisor):
 def rank_with_certificate(g: MultiGraph, d: Divisor) -> RankResult:
     """rank(g, d) together with re-verifiable evidence for the value."""
     sess = _Session(g)
-    red = sess.reduced(tuple(d.to_vector()))
+    red = sess.reduced(tuple(_bound_vector(g, d)))
     value = _rank_reduced(sess, red)
     if value == -1:
         ordering, nu = _ordering_certificate(g, red, d)

@@ -124,6 +124,47 @@ def spanning_tree_oracle(g: MultiGraph) -> int:
     return count
 
 
+def treewidth_oracle(g: MultiGraph) -> int:
+    """Treewidth by the exact dynamic program over vertex subsets
+    (Bodlaender-Fomin-Koster-Kratsch-Thilikos 2006), for at most 8 vertices.
+
+    Eliminating the vertices of S first and v next leaves v adjacent to
+    Q(S, v), the vertices outside S + {v} reachable from v through S; so
+    TW(S) = min over v in S of max(TW(S - v), |Q(S - v, v)|) with
+    TW(empty) = -1, and the treewidth is TW(V). Parallel edges do not matter.
+    """
+    n = len(g.vertices)
+    if n > 8:
+        raise ValueError("treewidth_oracle is for graphs of at most 8 vertices")
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [0] * n  # neighbour bitmasks
+    for u, v in g.edges:
+        nbrs[index[u]] |= 1 << index[v]
+        nbrs[index[v]] |= 1 << index[u]
+
+    def q_size(s, v):
+        seen, stack, reach = 1 << v, [v], 0
+        while stack:
+            u = stack.pop()
+            for w in range(n):
+                bit = 1 << w
+                if nbrs[u] & bit and not seen & bit:
+                    seen |= bit
+                    if s & bit:
+                        stack.append(w)
+                    else:
+                        reach += 1
+        return reach
+
+    tw = [-1] + [n] * ((1 << n) - 1)
+    for s in range(1, 1 << n):
+        for v in range(n):
+            if s >> v & 1:
+                rest = s & ~(1 << v)
+                tw[s] = min(tw[s], max(tw[rest], q_size(rest, v)))
+    return tw[(1 << n) - 1]
+
+
 def all_small_multigraphs(max_vertices=4, max_edges=6):
     """Every connected loopless multigraph with bounded vertices and edges,
     one representative per labeled edge multiset."""

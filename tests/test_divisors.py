@@ -107,6 +107,53 @@ def test_laplacian_requires_total_function():
         cf.laplacian_apply(g, {"Q1": 1})
 
 
+@pytest.mark.parametrize("value", [1.7, 2.0, "3", True, False, None])
+def test_laplacian_rejects_non_int_values(value):
+    """Values are never coerced: int(1.7) would be 1, int("3") 3, int(True) 1."""
+    g = cf.banana_graph(3)
+    with pytest.raises(DivisorError):
+        cf.laplacian_apply(g, {"Q1": value, "Q2": 0})
+
+
+def test_laplacian_rejects_unknown_labels():
+    g = cf.banana_graph(3)
+    with pytest.raises(UnboundVertexError):
+        cf.laplacian_apply(g, {"Q1": 1, "Q2": 0, "Q3": 5})
+    with pytest.raises(UnboundVertexError):
+        cf.laplacian_apply(g, {"Q1": 1, "Q2": 0, 0: 0})
+
+
+# Every entry point that reads a divisor's vector against a graph argument.
+BOUND_ENTRY_POINTS = {
+    "q_reduce": lambda g, d: cf.q_reduce(g, d, g.vertices[0]),
+    "is_q_reduced": lambda g, d: cf.is_q_reduced(g, d, g.vertices[0]),
+    "is_equivalent": lambda g, d: cf.is_equivalent(g, d, d),
+    "is_equivalent_second": lambda g, d: cf.is_equivalent(g, cf.zero_divisor(g), d),
+    "is_winnable": cf.is_winnable,
+    "rank": cf.rank,
+    "rank_with_certificate": cf.rank_with_certificate,
+    "riemann_roch_check": cf.riemann_roch_check,
+    "class_coordinates": cf.class_coordinates,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_ENTRY_POINTS))
+def test_divisor_on_another_graph_is_refused(name):
+    """A divisor bound to a different graph would be read, silently, in that
+    graph's vertex order; it raises, as metric.q_rank does. A divisor on an
+    equal graph built separately passes and gives the same answer."""
+    call = BOUND_ENTRY_POINTS[name]
+    g = cf.banana_graph(3)
+    foreign = cf.Divisor(cf.complete_graph(2), {"v1": 1, "v2": -1})
+    with pytest.raises(UnboundVertexError):
+        call(g, foreign)
+    twin = cf.banana_graph(3)
+    assert twin is not g
+    assert call(g, cf.Divisor(twin, {"Q1": 1, "Q2": -1})) == call(
+        g, cf.Divisor(g, {"Q1": 1, "Q2": -1})
+    )
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(st.integers(0, 10**6))
 def test_laplacian_degree_zero(seed):
@@ -407,6 +454,85 @@ def test_reduction_shifts_with_the_coefficient_at_q():
     with mock.patch.object(divisors, "_fire_floor_potential", counted_round):
         check()
     assert 0 < len(rounded) < 240
+
+
+def test_indebted_inputs_lower_to_the_max_script():
+    """Every input with debt away from q, except one chip at one vertex
+    (lending), is reduced by _lower_to_max_script with no burning pass, and
+    no other input enters it. Random multigraphs and their subdivisions, a
+    random root q, debts from one chip up to 10^3, Laplacian images with
+    chips moved, debt-free inputs and lending inputs. The output is q-reduced
+    and equivalent to the input (oracles). On graphs of at most 15 vertices
+    the script fired, f with f(q) = 0 and D - L f the output, is an integer
+    vector with f <= floor(L_q^-1 D_q), the lemma's bound (exact solves)."""
+    entered = []
+    real_step = divisors._lower_to_max_script
+    real_pass = divisors._dhar_unburnt
+    passes = []
+
+    def counted_pass(*args):
+        passes.append(1)
+        return real_pass(*args)
+
+    def checked_step(g, vec, q):
+        before = len(passes)
+        out = real_step(g, vec, q)
+        assert len(passes) == before, "the max-script step ran a burning pass"
+        entered.append(g)
+        return out
+
+    routes = set()
+
+    @settings(max_examples=160, derandomize=True, deadline=None)
+    @given(st.integers(0, 10**6))
+    def check(seed):
+        rng = random.Random(seed)
+        g = cf.random_multigraph(rng.randint(2, 7), rng.randint(0, 5), seed=seed)
+        g, _ = cf.subdivide(g, rng.randint(1, 3))
+        n = len(g.vertices)
+        q = rng.randrange(n)
+        kind = seed % 4
+        if kind == 0:  # debts of any size
+            amplitude = rng.choice((1, 3, 30, 1000))
+            vec = [rng.randint(-amplitude, amplitude) for _ in range(n)]
+        elif kind == 1:  # a Laplacian image with chips moved
+            amplitude = rng.choice((1, 5, 100))
+            f = {v: rng.randint(-amplitude, amplitude) for v in g.vertices}
+            vec = cf.laplacian_apply(g, f).to_vector()
+            for _ in range(rng.randint(0, 3)):
+                src, dst = rng.sample(range(n), 2)
+                vec[src] -= 1
+                vec[dst] += 1
+        elif kind == 2:  # debt-free away from q, on both sides of 2|E|
+            high = rng.choice((2, 1000))
+            vec = [rng.randint(0, high) for _ in range(n)]
+            vec[q] = rng.randint(-high, high)
+        else:  # lending: a q-reduced divisor minus one chip where it is zero
+            vec = [rng.randint(-2, 4) for _ in range(n)]
+            divisors.reduce_vector(g, vec, q)
+            v = rng.choice([i for i in range(n) if i != q])
+            vec[v] = -1
+        debts = [c for i, c in enumerate(vec) if i != q and c < 0]
+        route = "lend" if debts == [-1] else "max-script" if debts else "burn"
+        routes.add(route)
+        calls = len(entered)
+        out = divisors.reduce_vector(g, list(vec), q)
+        assert (len(entered) > calls) == (route == "max-script"), route
+        assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[q])
+        assert equivalent_oracle(g, vec, out)
+        if route == "max-script" and n <= 15:
+            lap = reduced_laplacian_matrix(g, q)
+            away = [i for i in range(n) if i != q]
+            fired = solve_exact(lap, [vec[i] - out[i] for i in away])
+            bound = solve_exact(lap, [vec[i] for i in away])
+            assert all(x.denominator == 1 for x in fired)
+            assert all(x <= math.floor(y) for x, y in zip(fired, bound))
+
+    with mock.patch.object(divisors, "_lower_to_max_script", checked_step), \
+            mock.patch.object(divisors, "_dhar_unburnt", counted_pass):
+        check()
+    assert routes == {"lend", "max-script", "burn"}
+    assert any(len(g.vertices) > 15 for g in entered)
 
 
 def test_canonical_divisor_quartic():

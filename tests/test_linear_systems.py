@@ -13,6 +13,7 @@ from oracles import (
     all_small_multigraphs,
     effective_vectors,
     rank_oracle,
+    treewidth_oracle,
     winnable_oracle,
 )
 
@@ -107,6 +108,34 @@ def test_min_degree_grd_matches_oracle_exhaustive_small():
             witness = cf.min_degree_grd(g, 2, cf.genus(g) + 2)
             assert witness.degree == _oracle_min_degree(g, 2), g
             assert witness.rank == 2
+
+
+def test_treewidth_bounds_gonality():
+    """gonality(G) >= tw(G) (van Dobben de Bruyn-Gijswijt 2020), checked
+    against the subset dynamic program of the oracles on the graphs of the
+    gonality tests above, K5 to K8 (where both are n - 1), the cube Q3
+    (tw 3) and the 2 x 4 grid (tw 2)."""
+    graphs = [cf.banana_graph(n) for n in range(1, 8)]
+    graphs += [cf.cycle_graph(n) for n in range(3, 7)] + [cf.path_graph(1)]
+    graphs += [cf.random_multigraph(2 + i % 3, i % 3, seed=60 + i) for i in range(10)]
+    graphs += [cf.random_multigraph(2 + i % 3, 1 + i % 3, seed=150 + i) for i in range(6)]
+    graphs += list(all_small_multigraphs(max_vertices=4, max_edges=5))
+    for n in range(5, 9):
+        g = cf.complete_graph(n)
+        assert cf.gonality(g) == treewidth_oracle(g) == n - 1
+    cube = [f"{i:03b}" for i in range(8)]
+    graphs.append(cf.MultiGraph(cube, [
+        (a, b) for a, b in itertools.combinations(cube, 2)
+        if sum(x != y for x, y in zip(a, b)) == 1
+    ]))
+    grid = [(r, c) for r in range(2) for c in range(4)]
+    graphs.append(cf.MultiGraph(grid, [
+        (a, b) for a, b in itertools.combinations(grid, 2)
+        if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+    ]))
+    assert [treewidth_oracle(g) for g in graphs[-2:]] == [3, 2]
+    for g in graphs:
+        assert cf.gonality(g) >= treewidth_oracle(g), g
 
 
 def test_hyperelliptic_banana_and_complete():
