@@ -1,9 +1,11 @@
 """Integer linear algebra over the graph Laplacian.
 
 Jacobian group structure via Smith normal form: the ±1 pivots of L_q are
-eliminated on sparse rows, then a dense SNF runs on the small core left.
-Its class coordinates are an equivalence oracle independent of the
-chip-firing machinery. The spanning-tree count is det L_q from the sparse
+eliminated on sparse rows, the core left is eliminated modulo its own
+determinant D (the lattice it spans contains D Z^m, so a unit of Z/D gives
+a factor of 1), and the dense SNF runs only on a residual block with no
+unit mod D. Its class coordinates are an equivalence oracle independent
+of the chip-firing machinery. The spanning-tree count is det L_q from the sparse
 fraction-free elimination behind the reducer's factor
 (graphs.sparse_factor), so Kirchhoff's |Jac(G)| = det L_q compares the
 Smith normal form with the elimination the reducer actually runs.
@@ -12,6 +14,8 @@ Everything is exact arbitrary-precision integer arithmetic.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import NonzeroDegreeError
@@ -41,11 +45,18 @@ def smith_normal_form(matrix):
 
     U and V are unimodular; S is diagonal with each entry dividing the next.
     Pivots are chosen by least absolute value, with exact integer
-    elimination throughout.
+    elimination throughout. The matrix must be rectangular with int
+    entries (not bool); anything else raises ValueError naming the row.
     """
-    s = [row[:] for row in matrix]
+    s = [list(row) for row in matrix]
     n = len(s)
     cols = len(s[0]) if n else 0
+    for r, row in enumerate(s):
+        if len(row) != cols:
+            raise ValueError(f"row {r} has {len(row)} entries, row 0 has {cols}")
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"row {r} has a non-integer entry {x!r}")
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
@@ -60,14 +71,8 @@ def smith_normal_form(matrix):
             row[a], row[b] = row[b], row[a]
 
     def add_row(src, dst, factor):
-        srow = s[src]
-        drow = s[dst]
-        for j in range(cols):
-            drow[j] += factor * srow[j]
-        urow_s = u[src]
-        urow_d = u[dst]
-        for j in range(n):
-            urow_d[j] += factor * urow_s[j]
+        s[dst] = [a + factor * b for a, b in zip(s[dst], s[src])]
+        u[dst] = [a + factor * b for a, b in zip(u[dst], u[src])]
 
     def add_col(src, dst, factor):
         for row in s:
@@ -89,6 +94,8 @@ def smith_normal_form(matrix):
                     if x != 0 and (best is None or abs(x) < best):
                         best = abs(x)
                         pivot = (i, j)
+                if best == 1:
+                    break  # no entry is smaller, so the scan can stop
             if pivot is None:
                 break
             pi, pj = pivot
@@ -109,6 +116,8 @@ def smith_normal_form(matrix):
                         done = False
             if not done:
                 continue
+            if s[t][t] in (1, -1):
+                break  # a unit divides every entry
             # Divisibility fix: fold any non-multiple into the pivot's column.
             offender = None
             for i in range(t + 1, n):
@@ -146,17 +155,61 @@ class AbelianGroupStructure:
         return " x ".join(f"Z/{f}" for f in self.nontrivial_factors)
 
 
+def _bareiss_determinant(matrix):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination. Each step takes the first row with a nonzero entry in the
+    leading column as its pivot and divides exactly by the previous pivot,
+    so every entry is a minor of the input and none swells past Hadamard's
+    bound.
+    """
+    rows = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    while rows:
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return 0
+        if p % 2:
+            sign = -sign  # moving row p to the top is p transpositions
+        prow = rows.pop(p)
+        pivot, rest = prow[0], prow[1:]
+        rows = [
+            [(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], rest)]
+            if row[0]
+            else [x * pivot // prev for x in row[1:]]
+            for row in rows
+        ]
+        prev = pivot
+    return sign * prev
+
+
 def _snf_at_base(g: MultiGraph):
     """Invariant factors of L_q at the canonical base vertex, and for those
     above 1 the rows of a unimodular U with U L_q V diagonal, each reduced
     mod its factor; cached per graph so coordinates are reproducible.
 
     Unit pivots go first, on sparse rows (Dumas, Saunders and Villard 2001):
-    each ±1 entry of least Markowitz cost (r - 1)(c - 1) clears its column
-    by row operations, which each live row's sparse row of U follows, and
+    each ±1 entry, taken by Markowitz cost (r - 1)(c - 1) from a lazily
+    checked heap (a cost that rose since its push goes back in; one that
+    fell is taken as it stands), clears its column by row operations and
     gives a factor of 1. Clearing the pivot's row by column operations
-    costs nothing, as V is not kept. The small core left, with no unit
-    entry, goes to the dense smith_normal_form.
+    costs nothing, as V is not kept.
+
+    The core C left has no ±1 entry. Its modulus D = |det C| comes from
+    its own fraction-free elimination (_bareiss_determinant), never from
+    the reducer's factor, so Kirchhoff's check still compares two separate
+    eliminations. The lattice C Z^m contains D Z^m (C adj C = det C * I),
+    so Z^m / C Z^m is (Z/D)^m modulo the columns of C mod D, and
+    elementary row operations mod D keep it. An entry coprime to D is a
+    unit of Z/D: it clears its column and row and gives a factor of 1
+    (Cohen, GTM 138, Alg. 2.4.14, after Domich, Kannan and Trotter 1987
+    and Hafner and McCurley 1991). A residual block R with no unit entry goes to the
+    dense smith_normal_form of [R | D I]; the factors multiply to D.
+
+    Rows of U are not carried: every row operation, exact or mod D, is
+    logged as (pivot row p, [(row k, multiplier f), ...]) for k -= f * p.
+    A kept row of U is its residual SNF row run back through the log, each
+    step giving p the coefficient -sum f * (k's coefficient); it is taken
+    mod its factor, which is enough as every factor divides D.
     """
     if g._snf_cache is None:
         degs = g.degrees()
@@ -165,55 +218,93 @@ def _snf_at_base(g: MultiGraph):
             i - 1: {j - 1: -m for j, m in nbrs if j} | {i - 1: degs[i]}
             for i, nbrs in enumerate(g.adjacency()) if i
         }
-        urows = {i: {i: 1} for i in rows}
         cols = {j: set(row) for j, row in rows.items()}  # L_q is symmetric
-        while True:
-            pivot = None
-            for i, row in rows.items():
-                r = len(row) - 1
-                for j, a in row.items():
-                    if a == 1 or a == -1:
-                        cost = r * (len(cols[j]) - 1)
-                        if pivot is None or cost < pivot[0]:
-                            pivot = (cost, i, j)
-            if pivot is None:
-                break
-            _, i, j = pivot
-            prow, purow = rows.pop(i), urows.pop(i)
+
+        def cost(i, j):
+            return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+        heap = [
+            (cost(i, j), i, j)
+            for i, row in rows.items() for j, a in row.items() if a in (1, -1)
+        ]
+        heapq.heapify(heap)
+        log = []
+        while heap:
+            stale, i, j = heapq.heappop(heap)
+            prow = rows.get(i)
+            if prow is None or prow.get(j) not in (1, -1):
+                continue  # eliminated, or no longer a unit
+            now = cost(i, j)
+            if now > stale:
+                heapq.heappush(heap, (now, i, j))
+                continue
+            del rows[i]
             for c in prow:
                 cols[c].discard(i)
+            steps, fresh = [], []
             for k in sorted(cols.pop(j)):
-                row, urow = rows[k], urows[k]
+                row = rows[k]
                 f = row.pop(j) * prow[j]  # a unit pivot is its own inverse
+                steps.append((k, f))
                 for c, a in prow.items():
                     if c != j:
                         x = row.get(c, 0) - f * a
                         if x:
                             row[c] = x
                             cols[c].add(k)
+                            if x == 1 or x == -1:
+                                fresh.append((k, c))
                         else:
                             del row[c]
                             cols[c].discard(k)
-                for c, a in purow.items():
-                    x = urow.get(c, 0) - f * a
-                    if x:
-                        urow[c] = x
-                    else:
-                        del urow[c]
-        live, live_cols = sorted(rows), sorted(cols)
+            log.append((i, steps))
+            for k, c in fresh:
+                heapq.heappush(heap, (cost(k, c), k, c))
+        live_cols = sorted(cols)
+        core = {i: [rows[i].get(j, 0) for j in live_cols] for i in sorted(rows)}
+        modulus = abs(_bareiss_determinant(core.values()))
+        work = {i: [x % modulus for x in row] for i, row in core.items()}
+        while True:  # each pivot is an entry coprime to D, a unit of Z/D
+            pivot = next(
+                (
+                    (i, j)
+                    for i, row in work.items()
+                    for j, x in enumerate(row)
+                    if math.gcd(x, modulus) == 1
+                ),
+                None,
+            )
+            if pivot is None:
+                break
+            i, j = pivot
+            prow = work.pop(i)
+            inv = pow(prow[j], -1, modulus)
+            steps = []
+            for k, row in work.items():
+                f = row[j] * inv % modulus
+                if f:
+                    steps.append((k, f))
+                    row[:] = [(x - f * y) % modulus for x, y in zip(row, prow)]
+                del row[j]
+            log.append((i, steps))
         u, diag, _ = smith_normal_form(
-            [[rows[i].get(j, 0) for j in live_cols] for i in live]
+            [
+                row + [modulus if k == t else 0 for k in range(len(work))]
+                for t, row in enumerate(work.values())
+            ]
         )
+        factors = (1,) * (len(degs) - 1 - len(work)) + tuple(diag)
+        assert math.prod(factors) == modulus, (factors, modulus)
         nontrivial = []
-        for core_row, factor in zip(u, diag):
+        for residual_row, factor in zip(u, diag):
             if factor > 1:
-                out = [0] * (len(degs) - 1)
-                for coef, i in zip(core_row, live):
-                    for c, a in urows[i].items():
-                        out[c] += coef * a
-                nontrivial.append(tuple(x % factor for x in out))
-        ones = (1,) * (len(degs) - 1 - len(live))  # one per unit pivot
-        object.__setattr__(g, "_snf_cache", (ones + tuple(diag), tuple(nontrivial)))
+                w = [0] * (len(degs) - 1)
+                for i, coef in zip(work, residual_row):
+                    w[i] = coef % factor
+                for i, steps in reversed(log):
+                    w[i] = -sum(w[k] * f for k, f in steps) % factor
+                nontrivial.append(tuple(w))
+        object.__setattr__(g, "_snf_cache", (factors, tuple(nontrivial)))
     return g._snf_cache
 
 

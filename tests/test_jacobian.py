@@ -1,13 +1,14 @@
 """Jacobian structure, spanning-tree counts, and the equivalence oracle."""
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
-from chipfire import NonzeroDegreeError
+from chipfire import NonzeroDegreeError, jacobian
 
 from oracles import all_small_multigraphs, equivalent_oracle, spanning_tree_oracle
 
@@ -77,6 +78,97 @@ def test_smith_normal_form_transforms():
     ]
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
+
+
+@pytest.mark.parametrize(
+    "matrix, named",
+    [
+        ([[1, 2], [3]], "row 1"),
+        ([[1.5]], "row 0"),
+        ([["1"]], "row 0"),
+        ([[1, 2], [1, True]], "row 1"),
+    ],
+)
+def test_smith_normal_form_refuses_malformed_input(matrix, named):
+    """Ragged rows and entries that are not int (bool included) are a
+    ValueError naming the row, not an IndexError, a TypeError or a factor
+    of 1.5."""
+    with pytest.raises(ValueError, match=named):
+        cf.smith_normal_form(matrix)
+
+
+def _doubled(g):
+    return cf.MultiGraph(g.vertices, list(g.edges) * 2)
+
+
+# Jacobians that are not cyclic. After their unit pivots (if any), no
+# entry of the core is a unit modulo its determinant, so the whole core
+# goes to the dense SNF of [R | D I].
+NONCYCLIC = {
+    "K4": (cf.complete_graph(4), (1, 4, 4)),
+    "K5": (cf.complete_graph(5), (1, 5, 5, 5)),
+    "doubled triangle": (_doubled(cf.cycle_graph(3)), (2, 6)),
+    "doubled 4-cycle": (_doubled(cf.cycle_graph(4)), (2, 2, 8)),
+}
+
+
+def _fresh(g):
+    return cf.MultiGraph(g.vertices, g.edges)
+
+
+def test_noncyclic_jacobians_reach_the_residual_block(monkeypatch):
+    residual_rows = []
+    dense = jacobian.smith_normal_form
+
+    def recording(matrix):
+        residual_rows.append(len(matrix))
+        return dense(matrix)
+
+    monkeypatch.setattr(jacobian, "smith_normal_form", recording)
+    for name, (g, factors) in NONCYCLIC.items():
+        residual_rows.clear()
+        assert cf.jacobian_structure(_fresh(g)).invariant_factors == factors, name
+        assert residual_rows and residual_rows[0] >= 2, name
+
+
+def _larger_graphs():
+    for i in range(12):
+        yield cf.random_multigraph(5 + i % 5, 1 + i % 4, seed=9300 + i)
+    for g, _ in NONCYCLIC.values():
+        yield _fresh(g)
+
+
+def test_order_equals_tree_oracle_up_to_nine_vertices():
+    """The modulus of the core's elimination is the core's own determinant,
+    so the order is checked against a count that shares no elimination
+    with it: the brute-force tree count, on random graphs of 5 to 9
+    vertices and on the non-cyclic panel (the small corpus is
+    test_order_equals_tree_count_exhaustive)."""
+    for g in _larger_graphs():
+        order = math.prod(cf.jacobian_structure(g).invariant_factors)
+        assert order == spanning_tree_oracle(g), cf.serialize_graph(g)
+
+
+def test_coordinates_biject_superstables_onto_the_factors():
+    """Every kept row u_i of U satisfies u_i L_q = 0 mod d_i, and the
+    coordinates of c - |c|(q) over the superstable configurations c, one
+    per class, are pairwise distinct and number prod d_i: the coordinate
+    map is onto the sum of the Z/d_i."""
+    for g in itertools.chain(all_small_multigraphs(4, 6), _larger_graphs()):
+        factors, rows = jacobian._snf_at_base(g)
+        laplacian = cf.reduced_laplacian(g, g.vertices[0])
+        for row, d in zip(rows, factors[len(factors) - len(rows):]):
+            for column in zip(*laplacian):
+                assert sum(u * a for u, a in zip(row, column)) % d == 0
+        seen = set()
+        for config in cf.superstable_configs(g):
+            vec = list(config)
+            vec[0] -= sum(config)
+            seen.add(
+                cf.class_coordinates(g, cf.Divisor.from_vector(g, vec)).coordinates
+            )
+        count = sum(1 for _ in cf.superstable_configs(g))
+        assert len(seen) == count == math.prod(factors), cf.serialize_graph(g)
 
 
 def test_order_equals_tree_count_exhaustive():
@@ -185,10 +277,11 @@ def test_equivalence_oracle_agreement_sampled_five_vertices():
 
 
 def test_invariant_factors_match_dense_smith_normal_form():
-    """The unit-pivot elimination and the dense SNF of the whole reduced
-    Laplacian give the same invariant factors: on every small multigraph,
-    on a panel of sparse 40- to 47-vertex graphs (each leaves a dense core
-    of 7 to 10 rows after its unit pivots), and on an 80-vertex graph."""
+    """The unit pivots with the core mod its determinant, and the dense
+    SNF of the whole reduced Laplacian, give the same invariant factors: on
+    every small multigraph, on a panel of sparse 40- to 47-vertex graphs
+    (each leaves a core of 8 to 11 rows after its unit pivots), and on an
+    80-vertex graph."""
     graphs = list(all_small_multigraphs(4, 6))
     graphs += [cf.random_multigraph(40 + i, (40 + i) // 2, seed=1000 + i) for i in range(8)]
     graphs.append(cf.random_multigraph(80, 40, seed=0))
@@ -219,3 +312,21 @@ def test_class_coordinates_agree_with_equivalence_oracle(shape, seed):
     for divisor in (d, moved):
         expected = equivalent_oracle(g, divisor.to_vector(), zero)
         assert cf.class_coordinates(g, divisor).is_zero() == expected
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(100, 200), st.integers(0, 10**6))
+def test_class_coordinates_agree_with_reduction_at_scale(n, seed):
+    """At 100 to 200 vertices, where the core has tens of rows and is
+    eliminated mod its determinant, the coordinates of a Laplacian image
+    are zero, and those of the same divisor with one chip moved are zero
+    exactly when q-reduction finds it principal."""
+    g = cf.random_multigraph(n, n // 2, seed=seed)
+    rng = random.Random(seed)
+    d = cf.laplacian_apply(g, random_function(g, rng, -5, 5))
+    src, dst = rng.sample(list(g.vertices), 2)
+    moved = d - cf.Divisor(g, {src: 1}) + cf.Divisor(g, {dst: 1})
+    zero = cf.zero_divisor(g)
+    assert cf.class_coordinates(g, d).is_zero()
+    principal = cf.is_equivalent(g, moved, zero)
+    assert cf.class_coordinates(g, moved).is_zero() == principal
