@@ -1,28 +1,27 @@
 #!/usr/bin/env python3
-"""Time q-reductions on long chains and sparse random graphs, each route against the one it replaces.
+"""Time q-reduction's max-script route against burning alone on long chains and sparse random graphs, and check every result.
 
-Debt-free case: each edge of banana(3) is cut into k edges, and 2|E| + 5
-chips sit at Q2, just past the threshold at which reduce_vector fires the
-rounded exact solution before it burns. Each row is the median wall time
-of --repeats reductions, each on a freshly built graph, so the sparse
-factor of L_q is built inside the timed call. "burn only" patches the
-rounding step to a no-op, as the tests do.
+Debt-free rows: each edge of banana(3) cut into k edges, with 2|E| + 5
+chips at Q2 reduced at Q1, and random_multigraph(n, n // 2, seed=n) with
+2|E| + 5 chips spread over it (seeded by n) reduced at its first vertex.
+Both lie just past the 2|E| chips above which reduce_vector takes the
+max-script route: fire floor(L_q^-1 D_q), then unfire debtors. The
+reference is burning alone: Dhar passes from q, each firing the unburnt
+set as often as it legally can, until everything burns; both must give
+the same vector. The ratio column is max-script time over burning time.
+On a long chain floor(L_q^-1 D_q) sits far above the maximal legal
+script and each unfiring moves one chip one edge, so those rows show
+the chain cost of the max-script route.
 
-Debt case: a divisor drawn from [-3, 3] (seeded by n or k) on
-random_multigraph(n, n // 2, seed=n), reduced at its first vertex, and on
-banana(3) with each edge cut into k = 50 or 100, reduced at Q1.
-reduce_vector sends it down the max-script route: fire floor(L_q^-1 D_q),
-then unfire debtors. The old path settles the debts first
-(_settle_debts); nothing is in debt after that, so reduce_vector runs its
-debt-free route, unchanged. Each row
-is the median of --repeats reductions of the same input on one graph whose
-factor of L_q and distance layers are built before the clock starts, as in
-a session, where every reduction at one root shares them; both paths use
-them. --sizes 160 320 480 adds n = 480, whose old path takes seconds, as
-it does on the 599-vertex chain, which the debt case leaves out.
+Debt rows: a divisor drawn from [-3, 3] on the same random graphs and on
+banana(3) cut k = 50 or 100. Burning alone cannot take debts, so the
+reference is the definition: the output is q-reduced and differs from
+the input by a principal divisor (its class coordinates are zero).
 
-The script exits non-zero unless both ways give the same reduced vector
-in every row.
+Each time is the median of --repeats reductions of the same input, each
+on a freshly built graph, so the sparse factor of L_q is built inside the
+timed call. The script exits non-zero unless every row agrees with its
+reference.
 
     PYTHONPATH=src python3 scripts/chain_reduction.py [--repeats 5] [--sizes 160 320]
 """
@@ -33,7 +32,6 @@ import platform
 import random
 import statistics
 import time
-from unittest import mock
 
 import chipfire as cf
 from chipfire import divisors
@@ -42,50 +40,54 @@ CUTS = (50, 100, 200)
 DEBT_CUTS = (50, 100)
 
 
-def _median_reduction(k, repeats):
+def _burn_alone(g, vec, q):
+    """Reduce a vector with no debt away from q by Dhar passes alone."""
+    adj, n = g.adjacency(), len(vec)
+    while True:
+        members, burnt, threat = divisors._dhar_unburnt(adj, vec, q, n)
+        if len(members) == n:
+            return vec
+        t = min(vec[w] // threat[w] for w in range(n) if threat[w] and not burnt[w])
+        for u in members:
+            for j, mult in adj[u]:
+                if not burnt[j]:
+                    vec[u] += t * mult
+                    vec[j] -= t * mult
+
+
+def _chain(k):
+    """A builder of banana(3) with each edge cut into k; Q1 is vertex 0."""
+    return lambda: cf.subdivide(cf.banana_graph(3), k)[0]
+
+
+def _median_ms(build, vec, q, reduce, repeats):
     times = []
     for _ in range(repeats):
-        g, _ = cf.subdivide(cf.banana_graph(3), k)
-        vec = [0] * len(g.vertices)
-        vec[g.index("Q2")] = 2 * len(g.edges) + 5
+        g, out = build(), list(vec)
         started = time.perf_counter()
-        divisors.reduce_vector(g, vec, g.index("Q1"))
+        reduce(g, out, q)
         times.append(time.perf_counter() - started)
-    return vec, statistics.median(times)
+    return out, round(statistics.median(times) * 1000, 3)
 
 
-def _median_debt_reduction(g, vec, q, repeats, settle_first):
-    times = []
-    for _ in range(repeats):
-        out = list(vec)
-        started = time.perf_counter()
-        if settle_first:
-            divisors._settle_debts(g, out, q)
-        divisors.reduce_vector(g, out, q)
-        times.append(time.perf_counter() - started)
-    return out, statistics.median(times)
-
-
-def _debt_row(name, g, q, seed, repeats):
-    rng = random.Random(seed)
-    vec = [rng.randint(-3, 3) for _ in g.vertices]
-    g.reduced_factor(q)
-    g.distance_layers(q)
-    new, new_s = _median_debt_reduction(g, vec, q, repeats, False)
-    old, old_s = _median_debt_reduction(g, vec, q, repeats, True)
-    if new != old:
-        raise SystemExit(f"{name}: the max-script route and the old path disagree")
-    row = {
-        "graph": name,
-        "vertices": len(vec),
-        "max_script_ms": round(new_s * 1000, 3),
-        "old_path_ms": round(old_s * 1000, 3),
-        "old_over_max_script": round(old_s / new_s, 1),
-    }
-    print(
-        f"debt {name:<26} {row['vertices']:>5} vertices  max-script {row['max_script_ms']:.3f} ms"
-        f"  settle + reduce {row['old_path_ms']:.3f} ms  ({row['old_over_max_script']}x)"
-    )
+def _row(name, build, vec, repeats):
+    g, q, debts = build(), 0, min(vec) < 0
+    out, max_script_ms = _median_ms(build, vec, q, divisors.reduce_vector, repeats)
+    row = {"graph": name, "vertices": len(vec), "debts": debts, "max_script_ms": max_script_ms}
+    if debts:
+        moved = cf.Divisor.from_vector(g, [a - b for a, b in zip(out, vec)])
+        agree = cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[q]) \
+            and cf.class_coordinates(g, moved).is_zero()
+        note = "q-reduced and equivalent" if agree else "WRONG"
+    else:
+        burnt, row["burn_alone_ms"] = _median_ms(build, vec, q, _burn_alone, repeats)
+        agree = burnt == out
+        row["max_script_over_burn"] = round(max_script_ms / row["burn_alone_ms"], 2)
+        note = f"burn alone {row['burn_alone_ms']:.3f} ms  ({row['max_script_over_burn']}x)"
+    print(f"{'debt' if debts else 'free'} {name:<26} {len(vec):>5} vertices"
+          f"  max-script {max_script_ms:.3f} ms  {note}")
+    if not agree:
+        raise SystemExit(f"{name}: the max-script route and its reference disagree")
     return row
 
 
@@ -96,41 +98,22 @@ def main():
     args = parser.parse_args()
     rows = []
     for k in CUTS:
-        rounded, round_s = _median_reduction(k, args.repeats)
-        with mock.patch.object(divisors, "_fire_floor_potential", lambda g, vec, q: None):
-            burnt, burn_s = _median_reduction(k, args.repeats)
-        if rounded != burnt:
-            raise SystemExit(f"cut {k}: rounding and burning alone disagree")
-        row = {
-            "cut": k,
-            "vertices": len(rounded),
-            "round_ms": round(round_s * 1000, 3),
-            "burn_only_ms": round(burn_s * 1000, 3),
-        }
-        rows.append(row)
-        print(
-            f"cut {k:>4}  {row['vertices']:>5} vertices  round {row['round_ms']:.3f} ms"
-            f"  burn only {row['burn_only_ms']:.3f} ms"
-        )
-    debt_rows = [
-        _debt_row(f"random_multigraph({n}, {n // 2})",
-                  cf.random_multigraph(n, n // 2, seed=n), 0, n, args.repeats)
-        for n in args.sizes
-    ]
-    for k in DEBT_CUTS:
-        g, _ = cf.subdivide(cf.banana_graph(3), k)
-        debt_rows.append(_debt_row(f"banana(3) cut {k}", g, g.index("Q1"), k, args.repeats))
-    summary = {
-        "python": platform.python_version(),
-        "repeats": args.repeats,
-        "max_round_over_burn": round(
-            max(row["round_ms"] / row["burn_only_ms"] for row in rows), 2
-        ),
-        "min_old_over_max_script": min(row["old_over_max_script"] for row in debt_rows),
-        "rows": rows,
-        "debt_rows": debt_rows,
-    }
-    print(json.dumps(summary))
+        vec = [0, 2 * 3 * k + 5] + [0] * (3 * k - 3)  # 2|E| + 5 chips at Q2
+        rows.append(_row(f"banana(3) cut {k}", _chain(k), vec, args.repeats))
+    randoms = [(f"random_multigraph({n}, {n // 2})", n,
+                lambda n=n: cf.random_multigraph(n, n // 2, seed=n)) for n in args.sizes]
+    for name, n, build in randoms:
+        rng, vec = random.Random(n), [0] * n
+        for _ in range(2 * len(build().edges) + 5):
+            vec[rng.randrange(1, n)] += 1
+        rows.append(_row(name, build, vec, args.repeats))
+    chains = [(f"banana(3) cut {k}", k, _chain(k)) for k in DEBT_CUTS]
+    for name, seed, build in randoms + chains:
+        rng = random.Random(seed)
+        vec = [rng.randint(-3, 3) for _ in build().vertices]
+        rows.append(_row(name, build, vec, args.repeats))
+    print(json.dumps({"python": platform.python_version(), "repeats": args.repeats,
+                      "rows": rows}))
 
 
 if __name__ == "__main__":

@@ -3,24 +3,22 @@
 A divisor is an integer vector indexed by the vertices of a fixed graph;
 linear equivalence is difference by a Laplacian image. Equality of classes
 is decided through the unique q-reduced representative, reached by one of
-three routes, chosen by the debt away from q: lend, max-script or burn.
+two routes, read off the input away from q: burn or max-script.
 
-- Lend. One chip of debt at one vertex v (what the rank search produces
-  when it removes a chip from a reduced divisor): while v is in debt,
-  unfire the set that burns outward from v with q fireproof, then
-  Dhar-burn from q once; after lending on a reduced divisor minus one
-  chip that pass fires nothing, and rank skips it.
-- Max-script. Any other debt: fire the rounded-down exact solution
+- Burn. At most one chip of debt, at one vertex v (what the rank search
+  produces when it removes a chip from a reduced divisor), and at most
+  sum(deg) = 2|E| chips: while v is in debt, unfire the set that burns
+  outward from v with q fireproof (lending), then Dhar-burn from q and
+  fire the unburnt set as often as it legally can, until everything
+  burns. After lending on a reduced divisor minus one chip that pass
+  fires nothing, and rank skips it.
+- Max-script. Every other input: fire the rounded-down exact solution
   x = floor(L_q^-1 D_q) of the reduced-Laplacian system (Baker-Shokrieh
   2013) through a sparse fraction-free factor of L_q cached per graph and
   root, then unfire each remaining debtor as often as it needs. Legal
   firing scripts are closed under max, and every step stays above the
   largest one, whose result is the q-reduced form, so no burning pass
-  runs at all (the lemma at _lower_to_max_script).
-- Burn. No debt: Dhar-burn from q and fire the unburnt set as often as
-  it legally can, until everything burns. Above sum(deg) = 2|E| chips away
-  from q, first fire x as above and settle what it leaves by one
-  far-to-near pass over the distance layers of q, so large inputs skip
+  runs at all (the lemma at _lower_to_max_script), and large inputs skip
   the thousands of burning passes that would each move chips one step.
 
 _dhar_unburnt is the one burning pass behind lending and burning, the
@@ -205,35 +203,6 @@ def laplacian_apply(g: MultiGraph, f) -> Divisor:
 # -- q-reduction (hot path: plain int lists, no Divisor objects) -------------
 
 
-def _settle_debts(g: MultiGraph, vec, q):
-    """Make vec nonnegative away from q by one far-to-near pass over BFS layers.
-
-    For each distance layer, un-fires the set of all vertices at that
-    distance or farther (a set-firing of its complement, which contains q)
-    as many times as the most indebted layer member needs. Later layers are
-    never touched again, so a single pass suffices.
-    """
-    dist, layers = g.distance_layers(q)
-    adj = g.adjacency()
-    for depth in range(len(layers) - 1, 0, -1):
-        t = 0
-        for i in layers[depth]:
-            if vec[i] < 0:
-                gain = 0
-                for j, mult in adj[i]:
-                    if dist[j] == depth - 1:
-                        gain += mult
-                need = (-vec[i] + gain - 1) // gain  # ceil(-vec[i]/gain); gain >= 1 by BFS
-                if need > t:
-                    t = need
-        if t:
-            for i in layers[depth]:
-                for j, mult in adj[i]:
-                    if dist[j] == depth - 1:
-                        vec[i] += t * mult
-                        vec[j] -= t * mult
-
-
 def _dhar_unburnt(adj, vec, q, n, source=None):
     """One burning pass from source (q by default), in which q never burns
     unless it is the source; returns (members in burning order, burnt
@@ -395,18 +364,14 @@ def reduce_vector(g: MultiGraph, vec, q=0, _one_short=False):
     n = len(g.vertices)
     if n == 1:
         return vec
-    adj = g.adjacency()
     debtors = [i for i in range(n) if vec[i] < 0 and i != q]
-    v = q  # the vertex lent to; q when there is nothing to lend
-    if len(debtors) == 1 and vec[debtors[0]] == -1:
-        v = debtors[0]
-    elif debtors:
+    # Below 2|E| chips away from q, burning has only a bounded amount of
+    # work left; every other input lowers to the max script.
+    if (len(debtors) > 1 or debtors and vec[debtors[0]] != -1
+            or sum(vec) - vec[q] > 2 * len(g.edges)):
         return _lower_to_max_script(g, vec, q)
-    # Rounding leaves fewer than sum(deg) = 2|E| chips away from q; below
-    # that, burning alone has only a bounded amount of work left.
-    if sum(vec) - vec[q] > 2 * len(g.edges):
-        _fire_floor_potential(g, vec, q)
-        _settle_debts(g, vec, q)
+    v = debtors[0] if debtors else q  # the vertex lent to; q when none owes
+    adj = g.adjacency()
     while True:
         source = v if vec[v] < 0 else q
         if _one_short and source != v:

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 from . import __version__ as ENGINE_VERSION
 from .errors import GraphError, RecordError
-from .graphs import MultiGraph, genus, parse_graph, serialize_graph, subdivide
+from .graphs import (
+    MultiGraph,
+    _check_count,
+    genus,
+    parse_graph,
+    serialize_graph,
+    subdivide,
+)
 from .divisors import Divisor
 from .rank import rank
 from .linear_systems import (
@@ -41,8 +48,8 @@ def random_multigraph(n: int, g: int, seed: int) -> MultiGraph:
     """Connected loopless multigraph with n vertices and genus exactly g:
     a uniform random labeled spanning tree plus g extra non-loop edges
     drawn uniformly with replacement. Deterministic per seed."""
-    if n < 1:
-        raise GraphError("need at least one vertex")
+    _check_count(n, 1, "vertex count")
+    _check_count(g, 0, "genus")
     if n == 1 and g > 0:
         raise GraphError("n = 1 with positive genus would force loop edges")
     rng = random.Random(seed)

@@ -25,7 +25,7 @@ class MultiGraph:
     """A finite, unweighted, connected multigraph without loop edges.
 
     Immutable after construction; all derived structure (adjacency,
-    degrees, distance layers, the factor of L_q per root q) is computed
+    degrees, hop distances, the factor of L_q per root q) is computed
     lazily and cached, so instances are safe to share across threads.
     """
 
@@ -35,7 +35,7 @@ class MultiGraph:
         "_index",
         "_adj",
         "_degrees",
-        "_layers",
+        "_distances",
         "_factors",
         "_snf_cache",
     )
@@ -58,7 +58,7 @@ class MultiGraph:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_degrees", None)
-        object.__setattr__(self, "_layers", {})
+        object.__setattr__(self, "_distances", {})
         object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_snf_cache", None)
         self._check_connected()
@@ -146,34 +146,25 @@ class MultiGraph:
         i, j = self.index(u), self.index(v)
         return dict(self.adjacency()[i]).get(j, 0)
 
-    def distance_layers(self, root=0):
-        """BFS layers from the given vertex index: layers[k] = indices at distance k."""
-        if root not in self._layers:
+    def distances(self, root=0):
+        """Hop distance from the given vertex index to every vertex, by BFS."""
+        if root not in self._distances:
             adj = self.adjacency()
             dist = [-1] * len(self.vertices)
             dist[root] = 0
-            order = [root]
             queue = deque([root])
             while queue:
                 i = queue.popleft()
                 for j, _ in adj[i]:
                     if dist[j] < 0:
                         dist[j] = dist[i] + 1
-                        order.append(j)
                         queue.append(j)
-            layers = []
-            for i in order:
-                d = dist[i]
-                if d == len(layers):
-                    layers.append([i])
-                else:
-                    layers[d].append(i)
-            self._layers[root] = (tuple(dist), tuple(tuple(l) for l in layers))
-        return self._layers[root]
+            self._distances[root] = tuple(dist)
+        return self._distances[root]
 
     def reduced_factor(self, root=0):
         """sparse_factor(self, root), cached per root: the factor the
-        rounding step of q-reduction solves through."""
+        max-script route of q-reduction solves through."""
         if root not in self._factors:
             self._factors[root] = sparse_factor(self, root)
         return self._factors[root]
@@ -332,6 +323,13 @@ def serialize_graph(g: MultiGraph) -> str:
 # -- subdivision -----------------------------------------------------------
 
 
+def _check_count(value, least, what):
+    """GraphError unless value is an int >= least; a bool, float or str
+    count is refused, never coerced."""
+    if type(value) is not int or value < least:
+        raise GraphError(f"{what} must be an int >= {least}, got {value!r}")
+
+
 def _subdivision_label(u, v, edge_index, j):
     return f"{u}__{v}__{edge_index}__{j}"
 
@@ -348,8 +346,8 @@ def subdivide_edges(g: MultiGraph, counts):
     counts = list(counts)
     if len(counts) != len(g.edges):
         raise GraphError("one subdivision count per edge required")
-    if any(c < 1 for c in counts):
-        raise GraphError("subdivision counts must be >= 1")
+    for c in counts:
+        _check_count(c, 1, "subdivision count")
     vertices = list(g.vertices)
     edges = []
     for idx, (u, v) in enumerate(g.edges):
@@ -371,8 +369,7 @@ def subdivide_edges(g: MultiGraph, counts):
 
 def subdivide(g: MultiGraph, k: int):
     """Subdivide every edge into k edges; genus is preserved."""
-    if k < 1:
-        raise GraphError("subdivision factor must be >= 1")
+    _check_count(k, 1, "subdivision factor")
     return subdivide_edges(g, [k] * len(g.edges))
 
 
@@ -381,8 +378,7 @@ def subdivide(g: MultiGraph, k: int):
 
 def complete_graph(n: int) -> MultiGraph:
     """Complete graph on n >= 2 vertices v1..vn."""
-    if n < 2:
-        raise GraphError("complete(n) requires n >= 2")
+    _check_count(n, 2, "n of complete(n)")
     vertices = [f"v{i}" for i in range(1, n + 1)]
     edges = [
         (vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)
@@ -392,8 +388,7 @@ def complete_graph(n: int) -> MultiGraph:
 
 def banana_graph(n: int) -> MultiGraph:
     """Two vertices Q1, Q2 joined by n >= 1 parallel edges."""
-    if n < 1:
-        raise GraphError("banana(n) requires n >= 1")
+    _check_count(n, 1, "n of banana(n)")
     return MultiGraph(["Q1", "Q2"], [("Q1", "Q2")] * n)
 
 
@@ -406,8 +401,8 @@ def banana_lengths_graph(lengths) -> MultiGraph:
     lengths = list(lengths)
     if not lengths:
         raise GraphError("banana_lengths requires at least one edge")
-    if any(l < 1 for l in lengths):
-        raise GraphError("edge lengths must be >= 1")
+    for l in lengths:
+        _check_count(l, 1, "edge length")
     vertices = ["Q1", "Q2"]
     edges = []
     for i, l in enumerate(lengths, start=1):
@@ -423,8 +418,7 @@ def banana_lengths_graph(lengths) -> MultiGraph:
 
 def cycle_graph(n: int) -> MultiGraph:
     """Cycle on n >= 2 vertices (n = 2 gives two parallel edges)."""
-    if n < 2:
-        raise GraphError("cycle(n) requires n >= 2")
+    _check_count(n, 2, "n of cycle(n)")
     vertices = [f"v{i}" for i in range(1, n + 1)]
     edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
     return MultiGraph(vertices, edges)
@@ -432,8 +426,7 @@ def cycle_graph(n: int) -> MultiGraph:
 
 def path_graph(n: int) -> MultiGraph:
     """Path on n >= 1 vertices."""
-    if n < 1:
-        raise GraphError("path(n) requires n >= 1")
+    _check_count(n, 1, "n of path(n)")
     vertices = [f"v{i}" for i in range(1, n + 1)]
     edges = [(vertices[i], vertices[i + 1]) for i in range(n - 1)]
     return MultiGraph(vertices, edges)

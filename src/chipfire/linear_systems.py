@@ -61,10 +61,9 @@ def min_degree_grd(g: MultiGraph, r: int, d_max: int):
     exactly r, since otherwise removing well-chosen vertices would produce
     a smaller witness.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    for name, value in (("r", r), ("d_max", d_max)):
+        if type(value) is not int or value < 1:  # a bool is refused too
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     sess = _Session(g)
     for d in range(max(r, 1), d_max + 1):
         witness = _witness_at_degree(sess, g, r, d)

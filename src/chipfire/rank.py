@@ -60,11 +60,12 @@ class _Session:
     overrides them to carry the interior support of a divisor on a metric
     graph in one more entry, so on a metric graph the search subtracts
     chips only at the model vertices, a rank-determining set (Luo 2011).
-    Here _reduce is divisors.reduce_vector: a search step (one chip of debt)
-    lends through its burning pass, other indebted states take the
-    max-script route with no burning pass, and debt-free ones burn. The
-    metric session runs the lend-and-burn loop, with the same pass, on
-    segments.
+    Here _reduce is divisors.reduce_vector, by one of its two routes: a
+    search step (a reduced state minus one chip, so below 2|E| chips away
+    from q) burns, lending through its burning pass; any other debt, and
+    more than 2|E| chips, lowers to the max script with no burning pass.
+    The metric session runs the lend-and-burn loop, with the same pass,
+    on segments.
     """
 
     __slots__ = ("graph", "n", "far_order", "geq_memo", "reduce_memo")
@@ -72,7 +73,7 @@ class _Session:
     def __init__(self, graph: MultiGraph):
         self.graph = graph
         self.n = len(graph.vertices)
-        dist = graph.distance_layers(0)[0]
+        dist = graph.distances(0)
         self.far_order = sorted(range(self.n), key=lambda v: -dist[v])
         self.geq_memo = {}
         self.reduce_memo = {}

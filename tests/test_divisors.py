@@ -251,13 +251,21 @@ def test_equivalence_relation_on_degree_stratum(seed):
 
 def test_reduce_multifire_matches_single_fire():
     """The accelerated reduction (maximal legal firing multiples) must land
-    on the same divisor as the one-firing-per-round textbook loop."""
-    from chipfire.divisors import _dhar_unburnt, _settle_debts, reduce_vector
+    on the same divisor as the textbook loop: borrow at one debtor other
+    than q at a time, then fire the unburnt set of a Dhar pass once per
+    round."""
+    from chipfire.divisors import _dhar_unburnt, reduce_vector
 
     def single_fire(g, vec):
         n = len(g.vertices)
-        _settle_debts(g, vec, 0)
         adj = g.adjacency()
+        degs = g.degrees()
+        debtor = next((v for v in range(1, n) if vec[v] < 0), None)
+        while debtor is not None:
+            vec[debtor] += degs[debtor]
+            for j, mult in adj[debtor]:
+                vec[j] -= mult
+            debtor = next((v for v in range(1, n) if vec[v] < 0), None)
         while True:
             members, burnt, _ = _dhar_unburnt(adj, vec, 0, n)
             if len(members) == n:
@@ -319,9 +327,9 @@ def test_reduced_factor_fill_on_long_chains():
 
 
 def test_rounding_step_differential():
-    """reduce_vector against the oracles on both sides of the 2|E| threshold
-    of its rounding step, at a random root, also on graphs with long chains,
-    and the step itself: it fires an integer vector, and what it leaves
+    """reduce_vector against the oracles on both of its routes, at a random
+    root, also on graphs with long chains, and the max-script route's
+    rounding step itself: it fires an integer vector, and what it leaves
     away from q is L_q f with 0 <= f < 1."""
     rounded = []
     skipped = []
@@ -456,15 +464,19 @@ def test_reduction_shifts_with_the_coefficient_at_q():
     assert 0 < len(rounded) < 240
 
 
-def test_indebted_inputs_lower_to_the_max_script():
-    """Every input with debt away from q, except one chip at one vertex
-    (lending), is reduced by _lower_to_max_script with no burning pass, and
-    no other input enters it. Random multigraphs and their subdivisions, a
-    random root q, debts from one chip up to 10^3, Laplacian images with
-    chips moved, debt-free inputs and lending inputs. The output is q-reduced
-    and equivalent to the input (oracles). On graphs of at most 15 vertices
-    the script fired, f with f(q) = 0 and D - L f the output, is an integer
-    vector with f <= floor(L_q^-1 D_q), the lemma's bound (exact solves)."""
+def test_max_script_route_takes_debts_and_large_inputs():
+    """reduce_vector has two routes. An input that owes at most one chip
+    away from q, at one vertex, and holds at most 2|E| chips there burns
+    (lending first if it owes); every other input is reduced by
+    _lower_to_max_script with no burning pass. Five input classes are
+    drawn, and each must be reached: lending, indebted, debt-free at or
+    below 2|E|, debt-free above it, and lending above it. Random
+    multigraphs and their subdivisions, a random root q, debts from one
+    chip up to 10^3, Laplacian images with chips moved. The output is
+    q-reduced and equivalent to the input (oracles). On graphs of at most
+    15 vertices the script fired, f with f(q) = 0 and D - L f the output,
+    is an integer vector with f <= floor(L_q^-1 D_q), the lemma's bound
+    (exact solves)."""
     entered = []
     real_step = divisors._lower_to_max_script
     real_pass = divisors._dhar_unburnt
@@ -481,9 +493,9 @@ def test_indebted_inputs_lower_to_the_max_script():
         entered.append(g)
         return out
 
-    routes = set()
+    classes = set()
 
-    @settings(max_examples=160, derandomize=True, deadline=None)
+    @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.integers(0, 10**6))
     def check(seed):
         rng = random.Random(seed)
@@ -491,7 +503,7 @@ def test_indebted_inputs_lower_to_the_max_script():
         g, _ = cf.subdivide(g, rng.randint(1, 3))
         n = len(g.vertices)
         q = rng.randrange(n)
-        kind = seed % 4
+        kind = seed % 5
         if kind == 0:  # debts of any size
             amplitude = rng.choice((1, 3, 30, 1000))
             vec = [rng.randint(-amplitude, amplitude) for _ in range(n)]
@@ -512,15 +524,23 @@ def test_indebted_inputs_lower_to_the_max_script():
             divisors.reduce_vector(g, vec, q)
             v = rng.choice([i for i in range(n) if i != q])
             vec[v] = -1
+            if kind == 4 and n > 2:  # and more than 2|E| chips elsewhere
+                others = [i for i in range(n) if i not in (q, v)]
+                for _ in range(2 * len(g.edges) + 2):
+                    vec[rng.choice(others)] += 1
         debts = [c for i, c in enumerate(vec) if i != q and c < 0]
-        route = "lend" if debts == [-1] else "max-script" if debts else "burn"
-        routes.add(route)
+        large = sum(vec) - vec[q] > 2 * len(g.edges)
+        label = "lending" if debts == [-1] else "indebted" if debts else "debt-free"
+        if label != "indebted":
+            label += " above 2|E|" if large else " at or below 2|E|"
+        classes.add(label)
+        max_script = label not in ("lending at or below 2|E|", "debt-free at or below 2|E|")
         calls = len(entered)
         out = divisors.reduce_vector(g, list(vec), q)
-        assert (len(entered) > calls) == (route == "max-script"), route
+        assert (len(entered) > calls) == max_script, label
         assert cf.is_q_reduced(g, cf.Divisor.from_vector(g, out), g.vertices[q])
         assert equivalent_oracle(g, vec, out)
-        if route == "max-script" and n <= 15:
+        if max_script and n <= 15:
             lap = reduced_laplacian_matrix(g, q)
             away = [i for i in range(n) if i != q]
             fired = solve_exact(lap, [vec[i] - out[i] for i in away])
@@ -531,7 +551,10 @@ def test_indebted_inputs_lower_to_the_max_script():
     with mock.patch.object(divisors, "_lower_to_max_script", checked_step), \
             mock.patch.object(divisors, "_dhar_unburnt", counted_pass):
         check()
-    assert routes == {"lend", "max-script", "burn"}
+    assert classes == {
+        "lending at or below 2|E|", "lending above 2|E|", "indebted",
+        "debt-free at or below 2|E|", "debt-free above 2|E|",
+    }
     assert any(len(g.vertices) > 15 for g in entered)
 
 

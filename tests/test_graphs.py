@@ -130,6 +130,36 @@ def test_subdivide_rejects_zero():
         cf.subdivide(cf.banana_graph(3), 0)
 
 
+_B3 = cf.banana_graph(3)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: cf.subdivide(_B3, True), GraphError),
+        (lambda: cf.subdivide(_B3, 2.0), GraphError),
+        (lambda: cf.subdivide_edges(_B3, [True, 1, 2]), GraphError),
+        (lambda: cf.subdivide_edges(_B3, [2, 1.0, 2]), GraphError),
+        (lambda: cf.banana_graph(True), GraphError),
+        (lambda: cf.banana_lengths_graph([2, "2"]), GraphError),
+        (lambda: cf.cycle_graph(3.0), GraphError),
+        (lambda: cf.complete_graph(False), GraphError),
+        (lambda: cf.path_graph("3"), GraphError),
+        (lambda: cf.random_multigraph(4, True, 1), GraphError),
+        (lambda: cf.random_multigraph(4.0, 1, 1), GraphError),
+        (lambda: cf.random_multigraph(4, -1, 1), GraphError),
+        (lambda: cf.min_degree_grd(_B3, True, 3), ValueError),
+        (lambda: cf.min_degree_grd(_B3, 1, 3.0), ValueError),
+    ],
+)
+def test_malformed_counts_raise_typed_errors(build, error):
+    """A count that is a bool, a float, a str or below its least value is
+    refused with a typed error naming the value, never coerced (True is not
+    1) and never a bare TypeError from a comparison or a range."""
+    with pytest.raises(error, match="must be an int >= "):
+        build()
+
+
 def test_subdivide_names_a_user_label_that_collides_with_a_fresh_label():
     # edge 0 is (a, b), so subdividing it in two makes the fresh vertex a__b__0__1
     g = cf.parse_graph("a b\na b\nb a__b__0__1")

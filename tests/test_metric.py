@@ -93,7 +93,7 @@ def test_unit_model_vertex_of_grid_points():
     # two unit steps from Q1 and three from Q2
     label = vertex_of(qg6.point(0, F(1, 3)))
     for end, steps in (("Q1", 2), ("Q2", 3)):
-        dist, _ = graph.distance_layers(graph.index(end))
+        dist = graph.distances(graph.index(end))
         assert dist[graph.index(label)] == steps
 
 
