@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time q_rank of 3(P) on the unit banana(4) as P's denominator grows.
+"""Time q_rank of 3(P) on the unit banana(4) as P's denominator grows, and
+the semicontinuity probe on the instances of acceptance criterion 10.
 
 P sits just past 1/3 along edge 0, at the first j/den above 1/3 that is in
 lowest terms and still in the middle third (den = 6 has none and stops at
@@ -7,10 +8,21 @@ lowest terms and still in the middle third (den = 6 has none and stops at
 --repeats audited q_rank calls. Reduction on the model moves chips across
 whole segments, so the cost should not grow with the denominator.
 
+A probe row is the median wall time of --repeats runs of
+semicontinuity_probe(eps=1/6, samples=27) on one criterion-10 instance, and
+the metric burning passes of one more, counted by wrapping the pass that
+metric.py calls. The probe ranks its perturbed samples from plain data, so
+every record's ranks are rechecked here against q_rank of the perturbed
+metric graph and divisor, built through the public constructors: lengths
+moved by their deltas, each interior point kept at its share of its edge,
+moved by its shift and clamped to the edge. The script exits 1 on a wrong
+rank or on any disagreement.
+
     PYTHONPATH=src python3 scripts/qrank_denominators.py [--repeats 21]
 """
 
 import argparse
+import importlib
 import json
 import math
 import platform
@@ -21,12 +33,66 @@ from fractions import Fraction
 import chipfire as cf
 
 DENOMINATORS = (6, 12, 96, 192, 768, 1536, 10**4, 10**5, 10**6)
+PROBE_EPS = Fraction(1, 6)
+PROBE_SAMPLES = 27
+PROBE_SEED = 100_000
+
+metric = importlib.import_module("chipfire.metric")
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=21)
-    args = parser.parse_args()
+def _criterion_10():
+    b4 = cf.QGraph.unit(cf.banana_graph(4))
+    theta = cf.parse_qgraph("a b 1\na b 1/2\na c 1/2\nc b 1/2\n")
+    return (
+        (b4, cf.QDivisor(b4, {b4.point(0, Fraction(1, 2)): 3})),
+        (b4, cf.QDivisor(b4, {b4.point(1, Fraction(1, 3)): 2, b4.vertex_point("Q2"): 1})),
+        (theta, cf.QDivisor(theta, {theta.point(0, Fraction(1, 2)): 2})),
+    )
+
+
+def _perturbed(qg, d, record, scale):
+    lengths = [l + delta * scale for l, delta in zip(qg.lengths, record.length_deltas)]
+    perturbed = cf.QGraph(qg.model, lengths)
+    shifts = dict(record.point_shifts)
+    coeffs = {}
+    for point, c in d.items():
+        if point.vertex is not None:
+            new = perturbed.vertex_point(point.vertex)
+        else:
+            e = point.edge
+            offset = point.offset * lengths[e] / qg.lengths[e] + shifts[point] * scale
+            new = perturbed.point(e, min(max(offset, Fraction(0)), lengths[e]))
+        coeffs[new] = coeffs.get(new, 0) + c
+    return perturbed, cf.QDivisor(perturbed, coeffs)
+
+
+def _counted_passes(run):
+    passes = 0
+    real_pass = metric._dhar_unburnt
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return real_pass(*args)
+
+    metric._dhar_unburnt = counted
+    try:
+        run()
+    finally:
+        metric._dhar_unburnt = real_pass
+    return passes
+
+
+def _median_ms(run, repeats):
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - started)
+    return round(statistics.median(times) * 1000, 3)
+
+
+def _denominator_rows(repeats):
     qg = cf.QGraph.unit(cf.banana_graph(4))
     rows = []
     for den in DENOMINATORS:
@@ -35,22 +101,57 @@ def main():
             j += 1
         offset = Fraction(j, den)
         d = cf.QDivisor(qg, {qg.point(0, offset): 3})
-        times = []
-        for _ in range(args.repeats):
-            started = time.perf_counter()
-            value = cf.q_rank(qg, d)
-            times.append(time.perf_counter() - started)
+        value = cf.q_rank(qg, d)
         if value != 1:
             raise SystemExit(f"rank {value} at {offset}, expected 1")
-        ms = round(statistics.median(times) * 1000, 3)
+        ms = _median_ms(lambda: cf.q_rank(qg, d), repeats)
         rows.append({"denominator": den, "offset": str(offset), "median_ms": ms})
         print(f"{den:>8}  {str(offset):>16}  rank {value}  {ms:.3f} ms")
+    return rows
+
+
+def _probe_rows(repeats):
+    rows = []
+    for index, (qg, d) in enumerate(_criterion_10()):
+
+        def probe():
+            return cf.semicontinuity_probe(
+                qg, d, eps=PROBE_EPS, samples=PROBE_SAMPLES, seed=PROBE_SEED + index
+            )
+
+        report = probe()
+        for record in report.records:
+            expected = [
+                cf.q_rank(*_perturbed(qg, d, record, scale), audit=False)
+                for scale in report.scales
+            ]
+            if list(record.ranks) != expected:
+                raise SystemExit(
+                    f"instance {index}, sample {record.index}: the probe's ranks"
+                    f" {list(record.ranks)}, q_rank of the perturbed objects {expected}"
+                )
+        ms = _median_ms(probe, repeats)
+        passes = _counted_passes(probe)
+        rows.append({
+            "instance": index, "samples": PROBE_SAMPLES, "median_ms": ms,
+            "metric_burning_passes": passes,
+        })
+        print(f"probe {index}  {PROBE_SAMPLES} samples  {ms:.3f} ms  {passes} passes")
+    return rows
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=21)
+    args = parser.parse_args()
+    rows = _denominator_rows(args.repeats)
     medians = [row["median_ms"] for row in rows]
     summary = {
         "python": platform.python_version(),
         "repeats": args.repeats,
         "max_over_min": round(max(medians) / min(medians), 2),
         "rows": rows,
+        "probe_rows": _probe_rows(args.repeats),
     }
     print(json.dumps(summary))
 

@@ -5,19 +5,24 @@ edge; its edge-list text is the graph format with a length column, read
 by the same parser. QDivisor shares Divisor's arithmetic core and differs
 only in its points: model vertices or rational positions on edges.
 
-Ranks of rational divisors are computed on the model itself. Lengths and
-support offsets are cleared to integers by their least common
-denominator, and q-reduction runs metric Dhar burning (Luo,
-"Rank-determining sets of metric graphs", 2011), the graph burning pass
-on the segments between the special points: the model vertices and the
-support. A firing moves chips across a whole segment in one exact step,
-so the cost depends on edges and chips, not on denominators. The reduced
-divisors agree with those of the unit-edge subdivision (Hladky-Kral-Norine,
-"Rank of divisors on tropical curves", 2013), so the graph rank search of
-rank.py runs on them, subtracting chips only at the model vertices, a
-rank-determining set (Luo 2011). A second computation at twice the scale
-re-checks at runtime that the value is model-independent. All arithmetic
-is exact; floats are refused, not coerced.
+Ranks of rational divisors are computed on the model itself, from plain
+data: the model, the Fraction lengths, the vertex chips and the
+(edge, offset, chips) interior triples, which q_rank unpacks from its
+divisor and semicontinuity_probe computes for each perturbed sample
+without building a QGraph or QDivisor. Lengths and offsets are cleared to
+integers by their least common denominator N, and q-reduction runs metric
+Dhar burning (Luo, "Rank-determining sets of metric graphs", 2011), the
+graph burning pass on the segments between the special points: the model
+vertices and the support. A firing moves chips across a whole segment in
+one exact step, so the cost depends on edges and chips, not on
+denominators. The reduced divisors agree with those of the unit-edge
+subdivision at scale N (Hladky-Kral-Norine, "Rank of divisors on tropical
+curves", 2013), so the graph rank search of rank.py runs on them,
+subtracting chips only at the model vertices, a rank-determining set (Luo
+2011), and its lending stops when the debt is paid, as on graphs. A
+second computation at scale 2N re-checks at runtime that the value is
+model-independent. All arithmetic is exact; floats are refused, not
+coerced.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from .rank import (
 def _exact(x, what) -> Fraction:
     """x as an exact rational. A float is a binary approximation (0.1 is
     3602879701896397/2**55), so floats and bools are refused, not coerced."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (float, bool)):
         raise MetricError(
             f"{what} must be an int, Fraction or string, got {x!r}"
@@ -176,41 +183,29 @@ def canonical_qdivisor(qg: QGraph) -> QDivisor:
 
 
 def _on_grid(x: Fraction, scale: int) -> int:
-    units = x * scale
-    if units.denominator != 1:
+    if scale % x.denominator:
         raise UnrepresentablePointError(f"{x} is not on the 1/{scale} grid")
-    return int(units)
+    return x.numerator * (scale // x.denominator)
 
 
 class _MetricSession(_Session):
-    """rank._Session on a QGraph whose lengths are integers at a given scale.
+    """rank._Session on a model whose edge lengths are positive integers,
+    counted in units of 1/N for the metric graph at scale N.
 
     A search state is the m model-vertex coefficients followed by one tuple
     of sorted (edge, position, chips) triples for the interior support;
-    positions count units of 1/scale from the edge's first endpoint. The
-    search branches over the model vertices in rank._Session's order, by
-    hop distance on the model: they are rank-determining in any order
-    (Luo 2011), so the order only decides which vertex is probed first.
+    positions count units from the edge's first endpoint. The search
+    branches over the model vertices in rank._Session's order, by hop
+    distance on the model: they are rank-determining in any order (Luo
+    2011), so the order only decides which vertex is probed first.
     """
 
-    __slots__ = ("scale", "ends", "lengths")
+    __slots__ = ("ends", "lengths")
 
-    def __init__(self, qg: QGraph, scale: int):
-        model = qg.model
+    def __init__(self, model: MultiGraph, lengths):
         super().__init__(model)
-        self.scale = scale
         self.ends = tuple((model.index(u), model.index(v)) for u, v in model.edges)
-        self.lengths = tuple(_on_grid(l, scale) for l in qg.lengths)
-
-    def state(self, d: QDivisor):
-        vertex = [0] * self.n
-        interior = []
-        for p, c in d.items():  # interior points come sorted by (edge, offset)
-            if p.vertex is not None:
-                vertex[self.graph.index(p.vertex)] += c
-            else:
-                interior.append((p.edge, _on_grid(p.offset, self.scale), c))
-        return (*vertex, tuple(interior))
+        self.lengths = tuple(lengths)
 
     def degree(self, red):
         return sum(red[:-1]) + sum(c for _, _, c in red[-1])
@@ -224,11 +219,19 @@ class _MetricSession(_Session):
         step that declares a state reduced. Either way the unburnt set
         fires toward the burnt one, across the shortest frontier segment:
         one step here for as many unit-edge firings as that segment is
-        long, since every point it passes holds no chips. one_short is
-        not used: the pass from q always runs here.
+        long, since every point it passes holds no chips. With one_short (a
+        q-reduced state minus one chip away from q) it returns as soon as
+        the debt is paid, with no pass from q. That is the corollary in
+        reduce_vector's lending branch on the unit subdivision at this
+        scale: a lending step of length t is t lending rounds there, and
+        the debtor gains chips only when a step ends, so the rounds stop
+        where reduce_vector's lending stops, on the reduced form.
         """
         vertex, interior = vec_tuple[:-1], vec_tuple[-1]
         while True:
+            if (one_short and all(c >= 0 for c in vertex[1:])
+                    and all(p[2] >= 0 for p in interior)):
+                return (*vertex, interior)
             chips, adj, segs = self._segments(vertex, interior)
             source = next((a for a in range(1, len(chips)) if chips[a] < 0), 0)
             members, burnt, _ = _dhar_unburnt(adj, chips, 0, len(chips), source)
@@ -290,9 +293,64 @@ class _MetricSession(_Session):
         return tuple(chips[:m]), tuple(sorted(kept + landed))
 
 
-def _rank_at_scale(qg: QGraph, d: QDivisor, scale: int) -> int:
-    sess = _MetricSession(qg, scale)
-    return _rank_reduced(sess, sess.reduced(sess.state(d)))
+def _plain(d: QDivisor):
+    """The model-vertex chips of d and its sorted (edge, offset, chips)
+    interior triples."""
+    model = d.qgraph.model
+    vertex = [0] * len(model.vertices)
+    interior = []
+    for p, c in d.items():  # interior points come sorted by (edge, offset)
+        if p.vertex is not None:
+            vertex[model.index(p.vertex)] += c
+        else:
+            interior.append((p.edge, p.offset, c))
+    return vertex, interior
+
+
+def _grid_state(model, lengths, vertex, interior):
+    """A metric divisor given as plain data, on the grid of the least common
+    denominator N of the Fraction lengths and offsets: (lengths in units of
+    1/N, the _MetricSession state, N). A point at offset 0 or at the full
+    length is moved onto that vertex, and points that coincide are merged."""
+    scale = math.lcm(
+        *(l.denominator for l in lengths), *(x.denominator for _, x, _ in interior)
+    )
+    units = [_on_grid(l, scale) for l in lengths]
+    if any(l <= 0 for l in units):
+        raise MetricError("edge lengths must be positive")
+    vertex = list(vertex)
+    points = {}
+    for e, x, c in interior:
+        pos, end = _on_grid(x, scale), units[e]
+        if pos < 0 or pos > end:
+            raise MetricError(f"offset {x} outside [0, {lengths[e]}]")
+        if 0 < pos < end:
+            points[e, pos] = points.get((e, pos), 0) + c
+        else:
+            u, v = model.edges[e]
+            vertex[model.index(u if pos == 0 else v)] += c
+    kept = tuple(sorted((e, pos, c) for (e, pos), c in points.items() if c))
+    return units, (*vertex, kept), scale
+
+
+def _rank_on_grid(model, units, state) -> int:
+    sess = _MetricSession(model, units)
+    return _rank_reduced(sess, sess.reduced(state))
+
+
+def _grid_rank(model, lengths, vertex, interior, audit) -> int:
+    """q_rank of a metric divisor given as plain data (see _grid_state).
+    The audit at scale 2N doubles the grid's integers."""
+    units, state, scale = _grid_state(model, lengths, vertex, interior)
+    value = _rank_on_grid(model, units, state)
+    if audit:
+        fine = (*state[:-1], tuple((e, 2 * pos, c) for e, pos, c in state[-1]))
+        value2 = _rank_on_grid(model, [2 * l for l in units], fine)
+        if value2 != value:
+            raise SubdivisionAuditError(
+                f"rank {value} at scale {scale} but {value2} at scale {2 * scale}"
+            )
+    return value
 
 
 def q_rank(qg: QGraph, d: QDivisor, audit: bool = True) -> int:
@@ -308,20 +366,11 @@ def q_rank(qg: QGraph, d: QDivisor, audit: bool = True) -> int:
     is recomputed at scale 2N and must agree; disagreement raises
     SubdivisionAuditError.
     """
+    if type(audit) is not bool:
+        raise ValueError(f"audit must be a bool, got {audit!r}")
     if d.qgraph is not qg and d.qgraph != qg:
         raise UnboundVertexError("divisor is bound to a different metric graph")
-    scale = math.lcm(
-        *(l.denominator for l in qg.lengths),
-        *(p.offset.denominator for p in d.support() if p.vertex is None),
-    )
-    value = _rank_at_scale(qg, d, scale)
-    if audit:
-        value2 = _rank_at_scale(qg, d, 2 * scale)
-        if value2 != value:
-            raise SubdivisionAuditError(
-                f"rank {value} at scale {scale} but {value2} at scale {2 * scale}"
-            )
-    return value
+    return _grid_rank(qg.model, qg.lengths, *_plain(d), audit)
 
 
 # -- piecewise-linear functions -------------------------------------------
@@ -452,27 +501,6 @@ class ProbeReport:
         return tuple(r for r in self.records if r.violation)
 
 
-def _perturbed_instance(qg, d, deltas, shifts, scale):
-    lengths = [l + delta * scale for l, delta in zip(qg.lengths, deltas)]
-    perturbed = QGraph(qg.model, lengths)
-    coeffs = {}
-    moved = dict(shifts)
-    for point, c in d.items():
-        if point.vertex is not None:
-            new = perturbed.vertex_point(point.vertex)
-        else:
-            edge = point.edge
-            ratio = lengths[edge] / qg.lengths[edge]
-            offset = point.offset * ratio + moved.get(point, Fraction(0)) * scale
-            if offset < 0:
-                offset = Fraction(0)
-            elif offset > lengths[edge]:
-                offset = lengths[edge]
-            new = perturbed.point(edge, offset)
-        coeffs[new] = coeffs.get(new, 0) + c
-    return perturbed, QDivisor(perturbed, coeffs)
-
-
 # Perturbation directions live on multiples of 4/_PROBE_GRID, so that the
 # 1/2 and 1/4 scales still have denominator <= _PROBE_GRID.
 _PROBE_GRID = 24
@@ -491,8 +519,8 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     """
     import random
 
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+    if type(samples) is not int or samples < 0:
+        raise ValueError(f"samples must be an int >= 0, got {samples!r}")
     eps = _exact(eps, "eps")
     if eps <= 0:
         raise MetricError("eps must be positive")
@@ -506,17 +534,23 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     top = int(eps / step)
     scales = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
     base_rank = q_rank(qg, d, audit=False)
-    interior = [p for p in d.support() if p.vertex is None]
+    model, base = qg.model, qg.lengths
+    vertex, interior = _plain(d)
+    points = [p for p in d.support() if p.vertex is None]
     records = []
     for idx in range(samples):
-        deltas = tuple(step * rng.randint(-top, top) for _ in qg.lengths)
-        shifts = tuple(
-            (p, step * rng.randint(-top, top)) for p in interior
-        )
+        deltas = tuple(step * rng.randint(-top, top) for _ in base)
+        shifts = tuple((p, step * rng.randint(-top, top)) for p in points)
         ranks = []
         for scale in scales:
-            perturbed, moved = _perturbed_instance(qg, d, deltas, shifts, scale)
-            ranks.append(q_rank(perturbed, moved, audit=False))
+            # Each point keeps its share of its stretched edge, then moves by
+            # its shift, clamped to the edge.
+            lengths = [l + delta * scale for l, delta in zip(base, deltas)]
+            moved = []
+            for (e, x, c), (_, shift) in zip(interior, shifts):
+                x = x * lengths[e] / base[e] + shift * scale
+                moved.append((e, min(max(x, Fraction(0)), lengths[e]), c))
+            ranks.append(_grid_rank(model, lengths, vertex, moved, False))
         violation = all(r > base_rank for r in ranks)
         records.append(
             ProbeRecord(
@@ -539,10 +573,10 @@ def norine_scan(n: int, denominator: int):
 
     Returns [(offset, rank), ...] for offset = 0, 1/denominator, ..., 1.
     """
-    if n < 4:
-        raise ValueError("the scan needs a banana graph with n >= 4 edges")
-    if denominator < 3:
-        raise ValueError("denominator must be >= 3")
+    if type(n) is not int or n < 4:
+        raise ValueError(f"the scan needs a banana graph with n >= 4 edges, got {n!r}")
+    if type(denominator) is not int or denominator < 3:
+        raise ValueError(f"denominator must be an int >= 3, got {denominator!r}")
     qg = QGraph.unit(banana_graph(n))
     out = []
     for j in range(denominator + 1):

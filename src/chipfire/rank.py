@@ -65,7 +65,8 @@ class _Session:
     from q) burns, lending through its burning pass; any other debt, and
     more than 2|E| chips, lowers to the max script with no burning pass.
     The metric session runs the lend-and-burn loop, with the same pass,
-    on segments.
+    on segments, and a search step there also ends when its lending has
+    paid the debt.
     """
 
     __slots__ = ("graph", "n", "far_order", "geq_memo", "reduce_memo")

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
 from chipfire import DiscontinuityError, MetricError, NonIntegerSlopeError
+from chipfire import metric
 from chipfire.divisors import reduce_vector
-from chipfire.metric import _MetricSession
+from chipfire.metric import _MetricSession, _grid_state, _on_grid, _plain
 
 from oracles import unit_model_oracle
 
@@ -104,7 +105,7 @@ def test_unit_model_rejects_off_grid_point():
     with pytest.raises(cf.UnrepresentablePointError):
         vertex_of(p)
     with pytest.raises(cf.UnrepresentablePointError):
-        _MetricSession(qg, 1).state(cf.QDivisor(qg, {p: 1}))
+        _on_grid(p.offset, 1)
 
 
 # -- native reduction against the unit model ------------------------------------
@@ -129,11 +130,28 @@ def metric_divisors(draw):
     return qg, cf.QDivisor(qg, coeffs)
 
 
-def _clearing_scale(qg, d):
-    return math.lcm(
+def _session(qg, d):
+    """The metric session of d's grid, d's state there, and the grid's scale:
+    the least common denominator of the lengths and offsets."""
+    units, state, scale = _grid_state(qg.model, qg.lengths, *_plain(d))
+    assert scale == math.lcm(
         *(l.denominator for l in qg.lengths),
         *(p.offset.denominator for p in d.support() if p.vertex is None),
     )
+    return _MetricSession(qg.model, units), state, scale
+
+
+def _state_items(qg, scale, state):
+    """The (point, chips) pairs of a metric session state at a scale."""
+    items = [(qg.vertex_point(v), c) for v, c in zip(qg.model.vertices, state[:-1])]
+    return items + [(qg.point(e, F(pos, scale)), c) for e, pos, c in state[-1]]
+
+
+def _unit_vector(graph, vertex_of, items):
+    vec = [0] * len(graph.vertices)
+    for point, c in items:
+        vec[graph.index(vertex_of(point))] += c
+    return vec
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -144,14 +162,8 @@ def test_native_reduction_matches_unit_model(case):
     there (Hladky-Kral-Norine 2013). A chip sent the wrong way never
     settles, so the firing steps are capped."""
     qg, d = case
-    scale = _clearing_scale(qg, d)
+    sess, state, scale = _session(qg, d)
     graph, vertex_of = unit_model_oracle(qg, scale)
-
-    def unit_vector(items):
-        vec = [0] * len(graph.vertices)
-        for point, c in items:
-            vec[graph.index(vertex_of(point))] += c
-        return vec
 
     steps = []
     real_fire = _MetricSession._fire_unburnt
@@ -161,18 +173,51 @@ def test_native_reduction_matches_unit_model(case):
         assert len(steps) <= 1_000, "native reduction did not stop"
         return real_fire(self, *args)
 
-    sess = _MetricSession(qg, scale)
     with mock.patch.object(_MetricSession, "_fire_unburnt", capped_fire):
-        red = sess.reduced(sess.state(d))
-    model = qg.model.vertices
-    native = [(qg.vertex_point(v), c) for v, c in zip(model, red[:-1])]
-    native += [(qg.point(e, F(pos, scale)), c) for e, pos, c in red[-1]]
-    expected = unit_vector(d.items())
+        red = sess.reduced(state)
+    expected = _unit_vector(graph, vertex_of, d.items())
     reduce_vector(graph, expected, 0)
-    assert unit_vector(native) == expected
+    assert _unit_vector(graph, vertex_of, _state_items(qg, scale, red)) == expected
     if d.degree <= 2 * qg.genus:
-        unit_d = cf.Divisor.from_vector(graph, unit_vector(d.items()))
+        unit_d = cf.Divisor.from_vector(graph, _unit_vector(graph, vertex_of, d.items()))
         assert cf.q_rank(qg, d) == cf.rank(graph, unit_d)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(metric_divisors(), st.data())
+def test_one_short_lending_lands_on_the_reduced_form(case, data):
+    """The metric twin of test_divisors' lending test: a q-reduced state
+    minus one chip at a model vertex v != q that holds none, the input the
+    rank search hands to _reduce. With one_short the reducer stops once the
+    debt is paid, and must end where the full loop ends, one burning pass
+    (the pass from q) sooner, on reduce_vector's result for the unit-edge
+    subdivision (the lending corollary there carries over: a metric
+    lending step of length t is t lending rounds at this scale)."""
+    qg, d = case
+    sess, state, scale = _session(qg, d)
+    graph, vertex_of = unit_model_oracle(qg, scale)
+    red = list(sess._reduce(state, False))
+    red[data.draw(st.integers(1, sess.n - 1))] = -1  # chips removed, then one more
+    start = tuple(red)
+
+    passes = []
+    real_pass = metric._dhar_unburnt
+
+    def counted_pass(*args):
+        passes.append(1)
+        assert len(passes) <= 1_000, "native reduction did not stop"
+        return real_pass(*args)
+
+    with mock.patch.object(metric, "_dhar_unburnt", counted_pass):
+        full = sess._reduce(start, False)
+        full_passes = len(passes)
+        passes.clear()
+        early = sess._reduce(start, True)
+    assert early == full
+    assert len(passes) == full_passes - 1
+    expected = _unit_vector(graph, vertex_of, _state_items(qg, scale, start))
+    reduce_vector(graph, expected, 0)
+    assert _unit_vector(graph, vertex_of, _state_items(qg, scale, full)) == expected
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -183,8 +228,7 @@ def test_metric_reduction_shifts_with_the_coefficient_at_q(case, a):
     reductions on the rest of the state, and its answer for the shifted
     state is the direct one."""
     qg, d = case
-    sess = _MetricSession(qg, _clearing_scale(qg, d))
-    state = sess.state(d)
+    sess, state, _ = _session(qg, d)
     shifted = (state[0] + a, *state[1:])
     red = sess._reduce(state, False)
     expected = (red[0] + a, *red[1:])
@@ -392,6 +436,84 @@ def test_probe_no_violations():
     assert report.violations == ()
 
 
+_PATH = cf.QGraph.unit(cf.path_graph(2))
+_BANANA = cf.QGraph.unit(cf.banana_graph(4))
+_THETA = cf.parse_qgraph("a b 1\na b 1/2\na c 1/2\nc b 1/2\n")
+
+# The three instances of acceptance criterion 10, then a divisor with two
+# support points on one edge.
+_BANANA_MID = cf.QDivisor(_BANANA, {_BANANA.point(0, F(1, 2)): 3})
+_PROBE_CASES = (
+    (_BANANA, _BANANA_MID),
+    (_BANANA, cf.QDivisor(
+        _BANANA, {_BANANA.point(1, F(1, 3)): 2, _BANANA.vertex_point("Q2"): 1}
+    )),
+    (_THETA, cf.QDivisor(_THETA, {_THETA.point(0, F(1, 2)): 2})),
+    (_THETA, cf.QDivisor(
+        _THETA, {_THETA.point(2, F(1, 6)): 2, _THETA.point(2, F(1, 3)): 1}
+    )),
+)
+
+
+def _perturbed(qg, d, record, scale):
+    """A probe record's perturbed metric graph and divisor at one scale, built
+    through the public constructors: lengths moved by their deltas, each
+    interior point kept at its share of its edge and moved by its shift,
+    clamped to the edge; a point at an edge end is that vertex, and
+    coinciding points add up. Also whether a point was clamped, ended on a
+    vertex, or met another interior point."""
+    lengths = [l + delta * scale for l, delta in zip(qg.lengths, record.length_deltas)]
+    perturbed = cf.QGraph(qg.model, lengths)
+    shifts = dict(record.point_shifts)
+    coeffs = {}
+    seen = {"clamped": False, "on a vertex": False, "merged": False}
+    for point, c in d.items():
+        if point.vertex is not None:
+            new = perturbed.vertex_point(point.vertex)
+        else:
+            e = point.edge
+            offset = point.offset * lengths[e] / qg.lengths[e] + shifts[point] * scale
+            clamped = min(max(offset, F(0)), lengths[e])
+            seen["clamped"] |= clamped != offset
+            new = perturbed.point(e, clamped)
+            seen["on a vertex"] |= new.vertex is not None
+            seen["merged"] |= new.vertex is None and new in coeffs
+        coeffs[new] = coeffs.get(new, 0) + c
+    return perturbed, cf.QDivisor(perturbed, coeffs), seen
+
+
+def test_probe_ranks_match_public_objects():
+    """semicontinuity_probe ranks its perturbed samples from plain data. Each
+    record's ranks must equal q_rank of the perturbed graph and divisor
+    rebuilt through the public constructors, on the criterion-10 instances
+    and on two points of one edge, with eps up to just below the shortest
+    length, so that points clamp to an edge end, land on a vertex and meet.
+    Each of the three must be reached."""
+    reached = set()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from(range(len(_PROBE_CASES))),
+        st.integers(0, 10**6),
+        st.integers(1, 11),
+    )
+    def check(case, seed, twelfths):
+        qg, d = _PROBE_CASES[case]
+        eps = min(qg.lengths) * F(twelfths, 12)
+        report = cf.semicontinuity_probe(qg, d, eps=eps, samples=3, seed=seed)
+        assert report.base_rank == cf.q_rank(qg, d, audit=False)
+        for record in report.records:
+            expected = []
+            for scale in report.scales:
+                perturbed, moved, seen = _perturbed(qg, d, record, scale)
+                expected.append(cf.q_rank(perturbed, moved, audit=False))
+                reached.update(k for k, hit in seen.items() if hit)
+            assert list(record.ranks) == expected, (case, seed, eps, record)
+
+    check()
+    assert reached == {"clamped", "on a vertex", "merged"}
+
+
 def test_probe_rejects_large_eps():
     qg = cf.QGraph(cf.banana_graph(3), [F(1, 2)] * 3)
     d = cf.QDivisor(qg, {})
@@ -411,10 +533,41 @@ def test_norine_scan_values():
 
 
 def test_norine_scan_validates_arguments():
+    """Counts below the least one, and counts that are no int (a bool, a
+    float or a str), are refused with ValueError, never coerced."""
+    for n, denominator in (
+        (3, 12), (4, 2), (4, 3.5), (4, "12"), (4, True), (4.0, 12), ("4", 12), (True, 12),
+    ):
+        with pytest.raises(ValueError):
+            cf.norine_scan(n, denominator)
+
+
+def _mid_probe(samples):
+    return cf.semicontinuity_probe(_BANANA, _BANANA_MID, eps=F(1, 6), samples=samples, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _mid_probe(samples=-1),
+        lambda: _mid_probe(samples=True),
+        lambda: _mid_probe(samples=2.5),
+        lambda: _mid_probe(samples="3"),
+        lambda: cf.q_rank(_BANANA, _BANANA_MID, audit="no"),
+        lambda: cf.q_rank(_BANANA, _BANANA_MID, audit=1),
+        lambda: cf.q_rank(_BANANA, _BANANA_MID, audit=None),
+    ],
+    ids=[
+        "samples-negative", "samples-bool", "samples-float", "samples-str",
+        "audit-str", "audit-int", "audit-none",
+    ],
+)
+def test_metric_counts_and_flags_refuse_other_types(call):
+    """A probe's sample count must be an int >= 0 and q_rank's audit a bool,
+    or they raise ValueError: True is not read as one sample, nor "no" as
+    a request for the audit."""
     with pytest.raises(ValueError):
-        cf.norine_scan(3, 12)
-    with pytest.raises(ValueError):
-        cf.norine_scan(4, 2)
+        call()
 
 
 def test_weierstrass_point_exists_on_sampled_genus_two_qgraphs():
@@ -471,10 +624,6 @@ def test_serialize_qgraph_round_trip():
     qg = cf.QGraph(cf.banana_graph(3), [F(1, 2), F(2, 3), F(1)])
     again = cf.parse_qgraph(cf.serialize_qgraph(qg))
     assert again == qg
-
-
-_PATH = cf.QGraph.unit(cf.path_graph(2))
-_BANANA = cf.QGraph.unit(cf.banana_graph(4))
 
 
 @pytest.mark.parametrize(

@@ -220,7 +220,7 @@ def test_model_vertex_branching_exhaustive_small():
     for g in all_small_multigraphs(max_vertices=3, max_edges=3):
         for counts in itertools.product((1, 2, 3), repeat=len(g.edges)):
             sub, _ = cf.subdivide_edges(g, counts)
-            sess = _MetricSession(cf.QGraph(g, counts), 1)
+            sess = _MetricSession(g, counts)
             for vec in _small_vectors(len(sub.vertices)):
                 expected = cf.rank(sub, cf.Divisor.from_vector(sub, vec))
                 got = _model_branched_rank(sess, counts, vec)
@@ -246,7 +246,7 @@ def test_model_vertex_branching_larger_subdivisions(seed):
         vec[rng.randrange(n)] += 1
     vec[rng.randrange(n)] -= rng.randint(0, 1)
     expected = cf.rank(sub, cf.Divisor.from_vector(sub, vec))
-    sess = _MetricSession(cf.QGraph(g, counts), 1)
+    sess = _MetricSession(g, counts)
     assert _model_branched_rank(sess, counts, vec) == expected
 
 
