@@ -16,9 +16,11 @@ own yet, so the script counts from outside by wrapping its functions:
   g^r_d enumeration, Riemann-Roch dual, entry) and the kind of pass
   (lend: from a debtor; dhar: from q; superstable: the enumeration's test).
 
-Each panel value on a graph of at most 5 vertices is checked against the
-brute-force oracles of tests/oracles.py; the script exits non-zero if one
-differs. It prints one JSON row per query, then a JSON summary.
+A graph keeps its rank session's memos, so each query runs on its graph
+built afresh and its row counts only its own work. Each panel value on a
+graph of at most 5 vertices is checked against the brute-force oracles of
+tests/oracles.py; the script exits non-zero if one differs. It prints one
+JSON row per query, then a JSON summary.
 
     PYTHONPATH=src python3 scripts/search_work.py
 """
@@ -181,9 +183,10 @@ def main():
     total = Counts()
     failures = []
     for query, name, g, vec in _panel():
+        fresh = cf.MultiGraph(g.vertices, g.edges)  # no memos from earlier rows
         counts = Counts()
         with counts.installed():
-            value = _run(query, g, vec)
+            value = _run(query, fresh, vec)
         for key in ("work", "passes", "edges"):
             getattr(total, key).update(getattr(counts, key))
         row = {"query": query, "graph": name, "n": len(g.vertices), "value": value}

@@ -226,7 +226,7 @@ def _dhar_unburnt(adj, vec, q, n, source=None):
     return members, burnt, threat
 
 
-def superstable_configs(g: MultiGraph, max_size=None):
+def superstable_configs(g: MultiGraph, max_size=None, _tested=None):
     """Yield all superstable configurations as dense tuples (base entry 0).
 
     A configuration is superstable when burning from the base vertex
@@ -234,13 +234,19 @@ def superstable_configs(g: MultiGraph, max_size=None):
     superstable, so a failed extension cuts its branch. Configurations come
     in lexicographic order of their entries, found by a loop rather than by
     recursion, so the vertex count is not bounded by the recursion limit.
+    A walk keeps nothing but its current configuration; _tested is the
+    burning-test memo of a rank session (see _superstable_steps).
     """
-    yield from (config for config, _ in _superstable_steps(g, max_size))
+    yield from (config for config, _ in _superstable_steps(g, max_size, _tested))
 
 
-def _superstable_steps(g: MultiGraph, max_size):
+def _superstable_steps(g: MultiGraph, max_size, tested=None):
     """superstable_configs as (config, v) pairs: each config but the zero
-    one (v = 0) is the last one of one chip fewer plus a chip at v."""
+    one (v = 0) is the last one of one chip fewer plus a chip at v.
+
+    tested, if given, maps each configuration tried to its burning test's
+    outcome: a test found there is not run again, and one run is recorded
+    there. The walk and what it yields are the same either way."""
     n = len(g.vertices)
     adj = g.adjacency()
     degs = g.degrees()
@@ -257,10 +263,15 @@ def _superstable_steps(g: MultiGraph, max_size):
         # zero, and zero needs no new check.
         if vec[pos] < degs[pos] - 1 and total < max_size:
             vec[pos] += 1
-            members, _, _ = _dhar_unburnt(adj, vec, 0, n)
-            if len(members) == n:
+            config = tuple(vec)
+            burns = None if tested is None else tested.get(config)
+            if burns is None:
+                burns = len(_dhar_unburnt(adj, vec, 0, n)[0]) == n
+                if tested is not None:
+                    tested[config] = burns
+            if burns:
                 total += 1
-                yield tuple(vec), pos
+                yield config, pos
                 pos = n - 1
                 continue
             vec[pos] -= 1  # larger values fail too

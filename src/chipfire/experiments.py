@@ -192,11 +192,15 @@ def bn_instance(graph: MultiGraph, params: dict, seed: int) -> dict:
     """
     g = genus(graph)
     out = {"genus": g, "per_rank": []}
+    # One graph per factor k serves every r, and so does its rank session.
+    subdivided = {1: graph}
     for r in range(1, params["rmax"] + 1):
         d = brill_noether_threshold(g, r)
         entry = {"r": r, "d_threshold": d, "found": False, "escalated_k": None}
         for k in range(1, BN_ESCALATION_KMAX + 1):
-            witness = min_degree_grd(graph if k == 1 else subdivide(graph, k)[0], r, d)
+            if k not in subdivided:
+                subdivided[k] = subdivide(graph, k)[0]
+            witness = min_degree_grd(subdivided[k], r, d)
             if witness is not None:
                 entry["found"] = k == 1
                 entry["escalated_k"] = None if k == 1 else k
@@ -371,7 +375,18 @@ def gonality_bound_sweep(
 
 
 def _family_tightness(gmax: int):
-    """Known family members whose gonality meets the bound exactly."""
+    """Known family members whose gonality meets the bound exactly, as
+    fresh dicts over the witnesses computed once per gmax."""
+    return [
+        {"graph": name, "genus": g, "gonality": value}
+        for name, g, value in _family_witnesses(gmax)
+    ]
+
+
+@functools.cache
+def _family_witnesses(gmax: int):
+    """_family_tightness(gmax) as a tuple of (name, genus, gonality): a
+    function of gmax alone, over fixed graphs."""
     from .graphs import banana_graph, complete_graph, cycle_graph
 
     witnesses = []
@@ -387,8 +402,8 @@ def _family_tightness(gmax: int):
         value = gonality(graph)
         bound = (g + 3) // 2
         if value == bound:
-            witnesses.append({"graph": name, "genus": g, "gonality": value})
-    return witnesses
+            witnesses.append((name, g, value))
+    return tuple(witnesses)
 
 
 def subdivision_invariance_sweep(

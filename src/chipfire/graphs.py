@@ -24,9 +24,24 @@ from .errors import (
 class MultiGraph:
     """A finite, unweighted, connected multigraph without loop edges.
 
-    Immutable after construction; all derived structure (adjacency,
-    degrees, hop distances, the factor of L_q per root q) is computed
-    lazily and cached, so instances are safe to share across threads.
+    Immutable after construction; all derived structure is computed
+    lazily and cached on the instance: adjacency, degrees, hop distances,
+    the factor of L_q per root q, the Smith normal form, and the memos of
+    the graph's finite rank session (rank._graph_session): q-reduced forms
+    keyed by the part away from q, rank bounds keyed by (reduced form, k),
+    and the burning test of each configuration a superstable walk tried.
+    Every cached value depends on the graph alone, and a memo entry on the
+    graph and its key alone, so work that two queries on one graph share
+    is done once. The memos grow with the queries made, and a graph built
+    afresh starts with none. They hold int tuples and no reference back
+    to the graph, so they die with it.
+
+    Instances are safe to share across threads. Two threads that find a
+    slot unset may both fill it; one value wins, and the other thread
+    works on its own copy, which is equal (a session on its own memos is
+    a fresh session, only unshared). A memo entry is written only once
+    its value is complete, and any two writes of one key write the same
+    value, so a reader never sees a partial or a wrong entry.
     """
 
     __slots__ = (
@@ -38,6 +53,7 @@ class MultiGraph:
         "_distances",
         "_factors",
         "_snf_cache",
+        "_rank_memos",
     )
 
     def __init__(self, vertices, edges):
@@ -61,6 +77,7 @@ class MultiGraph:
         object.__setattr__(self, "_distances", {})
         object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_snf_cache", None)
+        object.__setattr__(self, "_rank_memos", None)
         self._check_connected()
 
     def __setattr__(self, name, value):

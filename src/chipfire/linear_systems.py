@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DisconnectedError
 from .graphs import MultiGraph, genus
 from .divisors import Divisor, superstable_configs
-from .rank import _Session, _rank_at_least, _rank_of, _rank_reduced
+from .rank import _graph_session, _rank_at_least, _rank_of, _rank_reduced
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def _witness_at_degree(sess, g, r, d):
     can carry rank r: if r(D) >= r, then D - r(q) is winnable and still
     q-reduced, so the reduced form of D has at least r chips at q.
     """
-    for config in superstable_configs(g, max_size=d - r):
+    for config in superstable_configs(g, max_size=d - r, _tested=sess.tested):
         vec = list(config)
         vec[0] = d - sum(config)
         red = tuple(vec)  # superstable away from base: already reduced
@@ -50,7 +50,7 @@ def exists_grd_witness(g: MultiGraph, r: int, d: int):
     """A witness of degree exactly d and rank >= r if one exists, else None."""
     if r < 0 or d < 0:
         raise ValueError("rank and degree must be nonnegative")
-    return _witness_at_degree(_Session(g), g, r, d)
+    return _witness_at_degree(_graph_session(g), g, r, d)
 
 
 def min_degree_grd(g: MultiGraph, r: int, d_max: int):
@@ -64,7 +64,7 @@ def min_degree_grd(g: MultiGraph, r: int, d_max: int):
     for name, value in (("r", r), ("d_max", d_max)):
         if type(value) is not int or value < 1:  # a bool is refused too
             raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-    sess = _Session(g)
+    sess = _graph_session(g)
     for d in range(max(r, 1), d_max + 1):
         witness = _witness_at_degree(sess, g, r, d)
         if witness is not None:
@@ -105,7 +105,7 @@ def weierstrass_points(g: MultiGraph):
     genus >= 2 that degree is special, and by Riemann-Roch the test is
     whether K - genus * (P) is winnable."""
     gg = genus(g)
-    sess = _Session(g)
+    sess = _graph_session(g)
     found = []
     for i, label in enumerate(g.vertices):
         vec = [0] * len(g.vertices)
@@ -123,7 +123,7 @@ def gap_sequence(g: MultiGraph, p):
     if gg < 1:
         raise ValueError("gap sequences need genus >= 1")
     pi = g.index(p)
-    sess = _Session(g)
+    sess = _graph_session(g)
     n = len(g.vertices)
     ranks = []
     for k in range(0, 2 * gg):

@@ -197,7 +197,10 @@ class _MetricSession(_Session):
     positions count units from the edge's first endpoint. The search
     branches over the model vertices in rank._Session's order, by hop
     distance on the model: they are rank-determining in any order (Luo
-    2011), so the order only decides which vertex is probed first.
+    2011), so the order only decides which vertex is probed first. Its
+    memos depend on the lengths as well as the model, so each session
+    starts its own and lives for one call; QGraphs that share a model
+    object never share a memo.
     """
 
     __slots__ = ("ends", "lengths")
@@ -521,6 +524,8 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
 
     if type(samples) is not int or samples < 0:
         raise ValueError(f"samples must be an int >= 0, got {samples!r}")
+    if type(seed) is not int:  # a float or str would be hashed, None read as entropy
+        raise ValueError(f"seed must be an int, got {seed!r}")
     eps = _exact(eps, "eps")
     if eps <= 0:
         raise MetricError("eps must be positive")

@@ -4,9 +4,14 @@ rank(D) is computed from its definition: search k = 0, 1, 2, ... and
 test, for every effective divisor E of degree k, that D - E is equivalent
 to an effective divisor. A caller that knows a rank-determining set may
 restrict E to it. The per-E test goes through q-reduced representatives;
-the answers "rank >= k" are memoized per call on the reduced form, so
+the answers "rank >= k" are memoized per graph on the reduced form, so
 equivalent branches of the search are shared, and reductions on the part
-away from q, since the coefficient at q only shifts their result.
+away from q, since the coefficient at q only shifts their result. Every
+finite query (rank, certificates, g^r_d, gonality, Weierstrass points,
+gaps) on one MultiGraph object runs in that graph's one session
+(_graph_session), so a reduction, a rank bound or a superstable burning
+test that an earlier query on it made is not made again. On a metric
+graph the session depends on the edge lengths and lives for one call.
 
 Riemann-Roch for graphs (Baker-Norine 2007) gives
 r(D) = deg D - g + 1 + r(K - D). When g <= deg D <= 2g - 2, K - D has
@@ -51,7 +56,12 @@ from .divisors import (
 
 
 class _Session:
-    """Call-local memo of rank-bound queries on one graph.
+    """Memos of rank-bound queries on one graph: q-reduced forms keyed by
+    the part away from q (reduce_memo), "rank >= k" per (reduced form, k)
+    (geq_memo), and the burning test of each configuration a superstable
+    walk tried (tested). _Session(g) starts them empty; _graph_session(g)
+    shares the ones g keeps. Each entry is a function of the graph and its
+    key alone, so sharing changes no answer and no walk order.
 
     The rank search subtracts chips at the graph's vertices, farthest
     from vertex 0 first by hop distance. A state is a tuple whose first n
@@ -69,15 +79,16 @@ class _Session:
     paid the debt.
     """
 
-    __slots__ = ("graph", "n", "far_order", "geq_memo", "reduce_memo")
+    __slots__ = ("graph", "n", "far_order", "geq_memo", "reduce_memo", "tested")
 
-    def __init__(self, graph: MultiGraph):
+    def __init__(self, graph: MultiGraph, memos=None):
+        """memos: the (geq_memo, reduce_memo, tested) dicts to share, as
+        _graph_session passes them; fresh ones by default."""
         self.graph = graph
         self.n = len(graph.vertices)
         dist = graph.distances(0)
         self.far_order = sorted(range(self.n), key=lambda v: -dist[v])
-        self.geq_memo = {}
-        self.reduce_memo = {}
+        self.geq_memo, self.reduce_memo, self.tested = memos or ({}, {}, {})
 
     def reduced(self, vec_tuple, one_short=False):
         """The q-reduced form, memoized on the part away from q (vertex 0)."""
@@ -100,14 +111,19 @@ class _Session:
         effective class of degree k is tested: its q-reduced member
         (k - |c|)(q) + c, c superstable with |c| <= k. Each c is an earlier
         one plus a chip at v, so the reduced D - c is one _child step away,
-        and D - E is winnable when it keeps k - |c| chips at q."""
+        and D - E is winnable when it keeps k - |c| chips at q. The walk
+        tests each configuration once per session (tested), and a pass is
+        the answer to "r(D) >= k", so geq_memo keeps it."""
+        if self.geq_memo.get((red, k)) is True:
+            return True
         path = [red]  # path[s]: reduced D - c for the last c of size s
-        for c, v in _superstable_steps(self.graph, k):
+        for c, v in _superstable_steps(self.graph, k, self.tested):
             s = sum(c)
             if s:
                 path[s:] = [_child(self, path[s - 1], v)]
             if path[s][0] < k - s:
                 return False
+        self.geq_memo[red, k] = True
         return True
 
     def probe_order(self, red):
@@ -117,6 +133,18 @@ class _Session:
         for v in self.far_order:
             (zeros if red[v] == 0 else rest).append(v)
         return zeros + rest
+
+
+def _graph_session(g: MultiGraph) -> _Session:
+    """The finite rank session of g: a _Session on the memos that g keeps
+    in its _rank_memos slot, set on first use, so every query on one graph
+    object shares its reductions, rank bounds and burning tests. The memos
+    hold int tuples and no reference to g, so they die with it."""
+    memos = g._rank_memos
+    if memos is None:
+        memos = ({}, {}, {})
+        object.__setattr__(g, "_rank_memos", memos)
+    return _Session(g, memos)
 
 
 def _child(sess, red, v):
@@ -220,13 +248,13 @@ def rank(g: MultiGraph, d: Divisor) -> int:
     """The rank of d: -1 if its class has no effective member, else the
     largest k such that removing any k chips leaves a winnable divisor.
     Searched on K - d when genus <= deg d <= 2 genus - 2 (Riemann-Roch)."""
-    sess = _Session(g)
+    sess = _graph_session(g)
     return _rank_of(sess, sess.reduced(tuple(_bound_vector(g, d))))
 
 
 def _direct_rank(g: MultiGraph, d: Divisor) -> int:
     """rank(g, d) by the search on d itself, never through K - d."""
-    sess = _Session(g)
+    sess = _graph_session(g)
     return _rank_reduced(sess, sess.reduced(tuple(_bound_vector(g, d))))
 
 
@@ -306,7 +334,7 @@ def _ordering_certificate(g, d_vec_reduced, d: Divisor):
 
 def rank_with_certificate(g: MultiGraph, d: Divisor) -> RankResult:
     """rank(g, d) together with re-verifiable evidence for the value."""
-    sess = _Session(g)
+    sess = _graph_session(g)
     red = sess.reduced(tuple(_bound_vector(g, d)))
     value = _rank_reduced(sess, red)
     if value == -1:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import chipfire as cf
-from chipfire import ExperimentRecord, GraphError
+from chipfire import ExperimentRecord, GraphError, experiments
 
 
 def test_random_multigraph_tree():
@@ -100,6 +100,26 @@ def test_gonality_sweep_within_lemma_range_for_small_genus():
     for record in result.records:
         assert record.result["within_bound"]
     assert result.summary["family_witnesses"]
+
+
+def test_family_witnesses_computed_once_per_gmax(monkeypatch):
+    """The tightness witnesses are a function of gmax over fixed graphs:
+    a second sweep summary with the same gmax computes no gonality, and
+    each caller gets dicts of its own."""
+    calls = []
+    real = experiments.gonality
+    monkeypatch.setattr(experiments, "gonality", lambda g: calls.append(g) or real(g))
+    experiments._family_witnesses.cache_clear()
+    first = experiments._family_tightness(5)
+    assert first == [
+        {"graph": "cycle(3)", "genus": 1, "gonality": 2},
+        {"graph": "banana(3)", "genus": 2, "gonality": 2},
+        {"graph": "complete(4)", "genus": 3, "gonality": 3},
+    ]
+    assert len(calls) == 3
+    first[0]["gonality"] = 99
+    assert experiments._family_tightness(5)[0]["gonality"] == 2
+    assert len(calls) == 3
 
 
 def test_subdivision_sweep_theorem_and_audit():

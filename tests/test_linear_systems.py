@@ -1,10 +1,14 @@
 """Gonality, minimal-degree systems, Weierstrass points, gaps."""
 
+import functools
 import itertools
 import random
+import sys
+import threading
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
 from chipfire import divisors
@@ -312,12 +316,16 @@ def _superstable_oracle(g, max_size):
 def test_superstable_configs_order_and_long_cycle():
     # min_degree_grd returns the first witness found, so the lexicographic
     # order of the enumeration is part of its contract
+    # A rank session's burning-test memo, shared by walks of every size and
+    # filled by the first pass, changes nothing in what a walk yields.
     for i in range(12):
         g = cf.random_multigraph(2 + i % 4, i % 4, seed=300 + i)
-        for max_size in (1, 2, None):
+        tested = {}
+        for max_size in (1, 2, None, 1, 2, None):
             cap = max_size if max_size is not None else sum(g.degrees())
             got = list(cf.superstable_configs(g, max_size=max_size))
             assert got == _superstable_oracle(g, cap)
+            assert list(cf.superstable_configs(g, max_size, _tested=tested)) == got
     # the high-degree audit's walk: each configuration but the zero one is
     # the last one yielded with one chip fewer, plus a chip at v
     for i in range(12):
@@ -343,3 +351,179 @@ def test_superstable_configs_below_size_zero_is_empty():
     g = cf.banana_graph(3)
     assert list(cf.superstable_configs(g, max_size=-1)) == []
     assert list(cf.superstable_configs(g, max_size=0)) == [(0, 0)]
+
+
+# -- one graph object, many queries --------------------------------------------
+
+_ORACLE_MAX_VERTICES = 5
+
+
+@st.composite
+def _graph_and_queries(draw):
+    """A random multigraph and a mixed list of finite queries on it."""
+    n = draw(st.integers(2, 6))
+    g = cf.random_multigraph(n, draw(st.integers(0, 3)), seed=draw(st.integers(0, 10**6)))
+    vec = st.lists(st.integers(-1, 2), min_size=n, max_size=n)
+    query = st.one_of(
+        st.tuples(st.just("rank"), vec),
+        st.tuples(st.just("certificate"), vec),
+        st.tuples(st.just("riemann_roch"), vec),
+        st.tuples(st.just("witness"), st.integers(0, 2), st.integers(0, 4)),
+        st.tuples(st.just("min_degree"), st.integers(1, 2), st.integers(1, 5)),
+        st.tuples(st.sampled_from(("gonality", "weierstrass"))),
+        st.tuples(st.just("gaps"), st.integers(0, n - 1)),
+    )
+    return g, draw(st.lists(query, min_size=2, max_size=8))
+
+
+def _witness_data(witness):
+    if witness is None:
+        return None
+    return witness.divisor.to_vector(), witness.degree, witness.rank
+
+
+def _answer(g, query):
+    """The query's answer on g, as plain data."""
+    kind, *args = query
+    if kind in ("rank", "certificate", "riemann_roch"):
+        d = cf.Divisor.from_vector(g, args[0])
+        if kind == "rank":
+            return cf.rank(g, d)
+        if kind == "riemann_roch":
+            return cf.riemann_roch_check(g, d)
+        result = cf.rank_with_certificate(g, d)
+        assert result.verify(g, d)
+        return (result.rank, result.effective_witness, result.failing_evidence,
+                result.nu_ordering, result.nu)
+    if kind == "witness":
+        return _witness_data(cf.exists_grd_witness(g, *args))
+    if kind == "min_degree":
+        return _witness_data(cf.min_degree_grd(g, *args))
+    if kind == "gonality":
+        return cf.gonality(g)
+    if kind == "weierstrass":
+        return cf.weierstrass_points(g)
+    if cf.genus(g) < 1:
+        with pytest.raises(ValueError):
+            cf.gap_sequence(g, g.vertices[args[0]])
+        return None
+    return cf.gap_sequence(g, g.vertices[args[0]])
+
+
+def _oracle_check(g, query, answer, winnable):
+    """answer agrees with the brute-force oracles of tests/oracles.py."""
+    n = len(g.vertices)
+
+    def rank(vec):  # rank_oracle, with winnable_oracle cached per graph
+        if not winnable(tuple(vec)):
+            return -1
+        k = 0
+        while all(
+            winnable(tuple(a - b for a, b in zip(vec, e)))
+            for e in effective_vectors(n, k + 1)
+        ):
+            k += 1
+        return k
+
+    def least_degree(r, d_max):
+        for d in range(r, d_max + 1):
+            if any(rank(v) >= r for v in effective_vectors(n, d)):
+                return d
+        return None
+
+    kind, *args = query
+    if kind == "rank":
+        assert answer == rank(args[0])
+    elif kind == "certificate":
+        assert answer[0] == rank(args[0])
+    elif kind == "riemann_roch":
+        canonical = [deg - 2 for deg in g.degrees()]
+        assert (answer.rank, answer.canonical_minus_rank) == (
+            rank(args[0]), rank([k - c for k, c in zip(canonical, args[0])])
+        )
+    elif kind == "witness":
+        r, d = args
+        exists = any(rank(v) >= r for v in effective_vectors(n, d))
+        assert (answer is not None) == exists
+        if answer is not None:
+            assert answer[1] == d and answer[2] == rank(answer[0]) >= r
+    elif kind == "min_degree":
+        r, d_max = args
+        least = least_degree(r, d_max)
+        assert (None if answer is None else answer[1]) == least
+        if answer is not None:
+            assert answer[2] == rank(answer[0]) == r
+    elif kind == "gonality":
+        assert answer == least_degree(1, cf.genus(g) + 1)
+    elif kind == "weierstrass":
+        gg = cf.genus(g)
+        expected = tuple(
+            v for i, v in enumerate(g.vertices)
+            if rank([gg if j == i else 0 for j in range(n)]) >= 1
+        )
+        assert answer == expected
+    elif answer is not None:
+        gg = cf.genus(g)
+        ranks = [rank([k if j == args[0] else 0 for j in range(n)]) for k in range(2 * gg)]
+        assert answer == [k for k in range(1, 2 * gg) if ranks[k] == ranks[k - 1]]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_graph_and_queries())
+def test_queries_on_one_graph_match_fresh_copies_and_oracles(case):
+    """A graph keeps one rank session, whose memos every query on it
+    shares. Whatever the order of the queries, each answer must equal the
+    same query's answer on a fresh copy of the graph, which starts with no
+    memos, also when the whole sequence runs a second time on the shared
+    graph; on at most 5 vertices it must equal the brute-force oracles."""
+    g, queries = case
+    answers = [_answer(g, q) for q in queries]
+    assert [_answer(g, q) for q in queries] == answers
+    winnable = functools.cache(lambda vec: winnable_oracle(g, list(vec)))
+    for query, answer in zip(queries, answers):
+        assert _answer(cf.MultiGraph(g.vertices, g.edges), query) == answer, query
+        if len(g.vertices) <= _ORACLE_MAX_VERTICES:
+            _oracle_check(g, query, answer, winnable)
+
+
+def test_threads_sharing_one_graph_get_fresh_copy_answers():
+    """Threads that query one graph object share its session's memos. Four
+    threads start each query together, behind a barrier and with a short
+    switch interval, so that they meet on the same memo keys inside the
+    searches and walks; every answer must equal the one a fresh copy
+    gives."""
+    base = cf.complete_graph(5)
+    n = len(base.vertices)
+    queries = [("gonality",), ("weierstrass",), ("min_degree", 2, 7), ("witness", 2, 6)]
+    queries += [("gaps", i) for i in range(n)]
+    rng = random.Random(11)
+    for kind in ("rank", "certificate", "riemann_roch") * 3:
+        queries.append((kind, tuple(rng.randint(0, 3) for _ in range(n))))
+    expected = [_answer(cf.MultiGraph(base.vertices, base.edges), q) for q in queries]
+    shared = cf.MultiGraph(base.vertices, base.edges)
+    barrier = threading.Barrier(4)
+    got, errors = {}, []
+
+    def work(i):
+        try:
+            got[i] = []
+            for q in queries:
+                barrier.wait(timeout=60)
+                got[i].append(_answer(shared, q))
+        except Exception as exc:  # reported below, with the others
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == {i: expected for i in range(4)}

@@ -280,6 +280,29 @@ def test_q_rank_rejects_divisor_of_another_qgraph():
     assert cf.q_rank(cf.QGraph(cf.banana_graph(4), [2, 1, 1, 1]), d) == cf.q_rank(long, d)
 
 
+def test_q_rank_keeps_qgraphs_on_one_model_apart():
+    """Two QGraphs on one model object, lengths (3, 1) and (2, 1) on the
+    2-cycle: D = 2(v2) - 2p, p at offset 1 on edge 0, is principal exactly
+    when 2 * 3 - 2 * 1 = 4 is a multiple of the circumference (Abel-Jacobi
+    on a genus-1 curve), so its rank is 0 on the first and -1 on the second.
+    Both give D the same search state, so a memo kept on the model would
+    answer one query with the other's reduction; each rank must also equal
+    the finite rank on the unit-edge subdivision."""
+    model = cf.cycle_graph(2)
+    expected = {(3, 1): 0, (2, 1): -1}
+    pairs = []
+    for lengths in expected:
+        qg = cf.QGraph(model, lengths)
+        d = cf.QDivisor(qg, {qg.vertex_point("v2"): 2, qg.point(0, F(1)): -2})
+        pairs.append((lengths, qg, d))
+    for _ in range(2):
+        for lengths, qg, d in pairs:
+            assert cf.q_rank(qg, d) == expected[lengths]
+            unit, vertex_of = unit_model_oracle(qg, 1)
+            finite = cf.Divisor(unit, {vertex_of(p): c for p, c in d.items()})
+            assert cf.rank(unit, finite) == expected[lengths]
+
+
 def test_q_rank_invariant_under_integer_scaling():
     qg = cf.QGraph.unit(cf.banana_graph(4))
     p = qg.point(0, F(1, 3))
@@ -418,14 +441,16 @@ def test_metric_rr_random_100():
 
 
 def test_probe_zero_perturbation_keeps_rank():
+    """Seed 16 draws the zero perturbation: every length delta and point
+    shift is 0, so every scale ranks the unperturbed divisor."""
     qg = cf.QGraph.unit(cf.banana_graph(4))
     d = cf.QDivisor(qg, {qg.point(0, F(1, 2)): 3})
-    report = cf.semicontinuity_probe(qg, d, eps=F(1, 6), samples=1, seed=123)
+    report = cf.semicontinuity_probe(qg, d, eps=F(1, 6), samples=1, seed=16)
     record = report.records[0]
-    if all(x == 0 for x in record.length_deltas) and all(
-        s == 0 for _, s in record.point_shifts
-    ):
-        assert all(r == report.base_rank for r in record.ranks)
+    assert all(x == 0 for x in record.length_deltas)
+    assert [s for _, s in record.point_shifts] == [0]
+    assert report.base_rank == 1
+    assert record.ranks == (1, 1, 1)
 
 
 def test_probe_no_violations():
@@ -542,8 +567,10 @@ def test_norine_scan_validates_arguments():
             cf.norine_scan(n, denominator)
 
 
-def _mid_probe(samples):
-    return cf.semicontinuity_probe(_BANANA, _BANANA_MID, eps=F(1, 6), samples=samples, seed=0)
+def _mid_probe(samples=1, seed=0):
+    return cf.semicontinuity_probe(
+        _BANANA, _BANANA_MID, eps=F(1, 6), samples=samples, seed=seed
+    )
 
 
 @pytest.mark.parametrize(
@@ -553,18 +580,24 @@ def _mid_probe(samples):
         lambda: _mid_probe(samples=True),
         lambda: _mid_probe(samples=2.5),
         lambda: _mid_probe(samples="3"),
+        lambda: _mid_probe(seed=1.5),
+        lambda: _mid_probe(seed=True),
+        lambda: _mid_probe(seed="1"),
+        lambda: _mid_probe(seed=None),
         lambda: cf.q_rank(_BANANA, _BANANA_MID, audit="no"),
         lambda: cf.q_rank(_BANANA, _BANANA_MID, audit=1),
         lambda: cf.q_rank(_BANANA, _BANANA_MID, audit=None),
     ],
     ids=[
         "samples-negative", "samples-bool", "samples-float", "samples-str",
+        "seed-float", "seed-bool", "seed-str", "seed-none",
         "audit-str", "audit-int", "audit-none",
     ],
 )
 def test_metric_counts_and_flags_refuse_other_types(call):
-    """A probe's sample count must be an int >= 0 and q_rank's audit a bool,
-    or they raise ValueError: True is not read as one sample, nor "no" as
+    """A probe's sample count must be an int >= 0, its seed an int and
+    q_rank's audit a bool, or they raise ValueError: True is not read as
+    one sample or as seed 1, 1.5 is not hashed into a seed, and "no" is not
     a request for the audit."""
     with pytest.raises(ValueError):
         call()

@@ -150,7 +150,9 @@ def test_high_degree_audit_catches_a_chip_short_at_q():
     """A reducer that leaves one lending step of the audit's walk a chip
     short at q makes rank() raise the audit's AssertionError, so the audit
     is a live check. The step chosen is a tight one: its reduced form of
-    D - c keeps exactly k - |c| = deg - g chips at q, nothing to spare."""
+    D - c keeps exactly k - |c| = deg - g chips at q, nothing to spare.
+    The broken call runs on a graph built afresh: on g the graph's memos
+    would answer that step without calling the reducer."""
     g = cf.complete_graph(4)
     gg = cf.genus(g)
     d = cf.Divisor(g, {"v1": 3, "v2": 1, "v3": 1})  # reduced, degree 2g - 1
@@ -179,7 +181,7 @@ def test_high_degree_audit_catches_a_chip_short_at_q():
 
     with mock.patch.object(rank_module, "reduce_vector", short_reduce):
         with pytest.raises(AssertionError, match="high-degree rank audit failed"):
-            cf.rank(g, d)
+            cf.rank(cf.complete_graph(4), d)
     assert cf.rank(g, d) == 2
 
 
