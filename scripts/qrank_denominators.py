@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time q_rank of 3(P) on the unit banana(4) as P's denominator grows, and
-the semicontinuity probe on the instances of acceptance criterion 10.
+the semicontinuity probe on the instances of acceptance criterion 10 and
+on one graph of non-unit lengths.
 
 P sits just past 1/3 along edge 0, at the first j/den above 1/3 that is in
 lowest terms and still in the middle third (den = 6 has none and stops at
@@ -9,14 +10,16 @@ lowest terms and still in the middle third (den = 6 has none and stops at
 whole segments, so the cost should not grow with the denominator.
 
 A probe row is the median wall time of --repeats runs of
-semicontinuity_probe(eps=1/6, samples=27) on one criterion-10 instance, and
-the metric burning passes of one more, counted by wrapping the pass that
-metric.py calls. The probe ranks its perturbed samples from plain data, so
-every record's ranks are rechecked here against q_rank of the perturbed
-metric graph and divisor, built through the public constructors: lengths
-moved by their deltas, each interior point kept at its share of its edge,
-moved by its shift and clamped to the edge. The script exits 1 on a wrong
-rank or on any disagreement.
+semicontinuity_probe(eps=1/6, samples=27) on one instance, and the metric
+burning passes of one more, counted by wrapping the pass that metric.py
+calls. The instances are the three of criterion 10 and a banana graph with
+lengths 3/2, 5/7 and 4/3 and points at offsets 1/3 and 4/9, whose probe
+grid needs the numerator 5 of a length. The probe ranks its perturbed
+samples on one integer grid, so every record's ranks are rechecked here
+against q_rank of the perturbed metric graph and divisor, built through
+the public constructors: lengths moved by their deltas, each interior
+point kept at its share of its edge, moved by its shift and clamped to the
+edge. The script exits 1 on a wrong rank or on any disagreement.
 
     PYTHONPATH=src python3 scripts/qrank_denominators.py [--repeats 21]
 """
@@ -40,13 +43,17 @@ PROBE_SEED = 100_000
 metric = importlib.import_module("chipfire.metric")
 
 
-def _criterion_10():
+def _probe_instances():
     b4 = cf.QGraph.unit(cf.banana_graph(4))
     theta = cf.parse_qgraph("a b 1\na b 1/2\na c 1/2\nc b 1/2\n")
+    odd = cf.parse_qgraph("a b 3/2\na b 5/7\na b 4/3\n")
     return (
         (b4, cf.QDivisor(b4, {b4.point(0, Fraction(1, 2)): 3})),
         (b4, cf.QDivisor(b4, {b4.point(1, Fraction(1, 3)): 2, b4.vertex_point("Q2"): 1})),
         (theta, cf.QDivisor(theta, {theta.point(0, Fraction(1, 2)): 2})),
+        (odd, cf.QDivisor(
+            odd, {odd.point(1, Fraction(1, 3)): 2, odd.point(2, Fraction(4, 9)): 1}
+        )),
     )
 
 
@@ -112,7 +119,7 @@ def _denominator_rows(repeats):
 
 def _probe_rows(repeats):
     rows = []
-    for index, (qg, d) in enumerate(_criterion_10()):
+    for index, (qg, d) in enumerate(_probe_instances()):
 
         def probe():
             return cf.semicontinuity_probe(

@@ -294,7 +294,11 @@ def _snf_at_base(g: MultiGraph):
             ]
         )
         factors = (1,) * (len(degs) - 1 - len(work)) + tuple(diag)
-        assert math.prod(factors) == modulus, (factors, modulus)
+        if math.prod(factors) != modulus:
+            raise AssertionError(
+                f"invariant factors {factors} do not multiply to the core's"
+                f" determinant {modulus}; engine is broken"
+            )
         nontrivial = []
         for residual_row, factor in zip(u, diag):
             if factor > 1:

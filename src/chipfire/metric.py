@@ -5,24 +5,27 @@ edge; its edge-list text is the graph format with a length column, read
 by the same parser. QDivisor shares Divisor's arithmetic core and differs
 only in its points: model vertices or rational positions on edges.
 
-Ranks of rational divisors are computed on the model itself, from plain
-data: the model, the Fraction lengths, the vertex chips and the
-(edge, offset, chips) interior triples, which q_rank unpacks from its
-divisor and semicontinuity_probe computes for each perturbed sample
-without building a QGraph or QDivisor. Lengths and offsets are cleared to
-integers by their least common denominator N, and q-reduction runs metric
-Dhar burning (Luo, "Rank-determining sets of metric graphs", 2011), the
-graph burning pass on the segments between the special points: the model
-vertices and the support. A firing moves chips across a whole segment in
-one exact step, so the cost depends on edges and chips, not on
-denominators. The reduced divisors agree with those of the unit-edge
-subdivision at scale N (Hladky-Kral-Norine, "Rank of divisors on tropical
-curves", 2013), so the graph rank search of rank.py runs on them,
+Ranks of rational divisors are computed on the model itself, on an
+integer grid: lengths and offsets in units of 1/N. q_rank unpacks its
+divisor into plain data (the model, the Fraction lengths, the vertex chips
+and the (edge, offset, chips) interior triples) and clears it to integers
+by the least common denominator N. semicontinuity_probe fixes one grid per
+call that holds every perturbed sample at every scale, and computes each
+sample's integer lengths and positions directly, without Fractions and
+without building a QGraph or QDivisor. Both place their points with one
+helper (_place). q-reduction runs metric Dhar burning (Luo,
+"Rank-determining sets of metric graphs", 2011), the graph burning pass
+on the segments between the special points: the model vertices and the
+support. A firing moves chips across a whole segment in one exact step,
+so the cost depends on edges and chips, not on the grid's size. The
+reduced divisors agree with those of the unit-edge subdivision at any
+scale N that holds the points (Hladky-Kral-Norine, "Rank of divisors on
+tropical curves", 2013), so the graph rank search of rank.py runs on them,
 subtracting chips only at the model vertices, a rank-determining set (Luo
-2011), and its lending stops when the debt is paid, as on graphs. A
-second computation at scale 2N re-checks at runtime that the value is
-model-independent. All arithmetic is exact; floats are refused, not
-coerced.
+2011), and its lending stops when the debt is paid, as on graphs. In
+q_rank a second computation at scale 2N re-checks at runtime that the
+value is model-independent. All arithmetic is exact; floats are refused,
+not coerced.
 """
 
 from __future__ import annotations
@@ -310,30 +313,38 @@ def _plain(d: QDivisor):
     return vertex, interior
 
 
+def _place(model, units, vertex, interior):
+    """The _MetricSession state of vertex chips plus (edge, position, chips)
+    triples on an integer grid, edge e being units[e] long. A position is
+    clamped to its edge, a point at an edge end is moved onto that vertex,
+    and points that coincide are merged."""
+    vertex = list(vertex)
+    points = {}
+    for e, pos, c in interior:
+        if 0 < pos < units[e]:
+            points[e, pos] = points.get((e, pos), 0) + c
+        else:
+            vertex[model.index(model.edges[e][pos > 0])] += c
+    return (*vertex, tuple(sorted((e, pos, c) for (e, pos), c in points.items() if c)))
+
+
 def _grid_state(model, lengths, vertex, interior):
     """A metric divisor given as plain data, on the grid of the least common
     denominator N of the Fraction lengths and offsets: (lengths in units of
-    1/N, the _MetricSession state, N). A point at offset 0 or at the full
-    length is moved onto that vertex, and points that coincide are merged."""
+    1/N, the _MetricSession state placed by _place, N)."""
     scale = math.lcm(
         *(l.denominator for l in lengths), *(x.denominator for _, x, _ in interior)
     )
     units = [_on_grid(l, scale) for l in lengths]
     if any(l <= 0 for l in units):
         raise MetricError("edge lengths must be positive")
-    vertex = list(vertex)
-    points = {}
+    positions = []
     for e, x, c in interior:
-        pos, end = _on_grid(x, scale), units[e]
-        if pos < 0 or pos > end:
+        pos = _on_grid(x, scale)
+        if pos < 0 or pos > units[e]:
             raise MetricError(f"offset {x} outside [0, {lengths[e]}]")
-        if 0 < pos < end:
-            points[e, pos] = points.get((e, pos), 0) + c
-        else:
-            u, v = model.edges[e]
-            vertex[model.index(u if pos == 0 else v)] += c
-    kept = tuple(sorted((e, pos, c) for (e, pos), c in points.items() if c))
-    return units, (*vertex, kept), scale
+        positions.append((e, pos, c))
+    return units, _place(model, units, vertex, positions), scale
 
 
 def _rank_on_grid(model, units, state) -> int:
@@ -356,6 +367,11 @@ def _grid_rank(model, lengths, vertex, interior, audit) -> int:
     return value
 
 
+def _check_bound(qg: QGraph, d: QDivisor):
+    if d.qgraph is not qg and d.qgraph != qg:
+        raise UnboundVertexError("divisor is bound to a different metric graph")
+
+
 def q_rank(qg: QGraph, d: QDivisor, audit: bool = True) -> int:
     """Rank of a rational divisor, reduced on the model itself.
 
@@ -371,8 +387,7 @@ def q_rank(qg: QGraph, d: QDivisor, audit: bool = True) -> int:
     """
     if type(audit) is not bool:
         raise ValueError(f"audit must be a bool, got {audit!r}")
-    if d.qgraph is not qg and d.qgraph != qg:
-        raise UnboundVertexError("divisor is bound to a different metric graph")
+    _check_bound(qg, d)
     return _grid_rank(qg.model, qg.lengths, *_plain(d), audit)
 
 
@@ -515,10 +530,22 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
 
     A violation record means the rank stayed above the unperturbed rank at
     every sampled scale, which upper semicontinuity forbids; the report is
-    a falsification harness and is expected to contain none. Ranks are
-    taken without the per-call subdivision audit: perturbed lengths have
-    large denominators, and auditing every sample roughly doubles an
-    already model-heavy scan.
+    a falsification harness and is expected to contain none.
+
+    Each sample draws a multiple i_e of the step for every edge and j_p for
+    every interior support point p; at scale s, edge e is l_e + i_e * step
+    * s long, and p keeps its share x_p / l_e of its stretched edge, then
+    moves by j_p * step * s, clamped to the edge. One integer grid, fixed
+    before the first sample, holds every sample at every scale: with
+    M = 4 * den(step) * lcm(den l_e, den x_p * num l_e), the move u_s = step
+    * s * M is an integer multiple of den(x_p / l_e), so l_e * M + i_e * u_s
+    and x_p * M + (x_p / l_e) * i_e * u_s + j_p * u_s are integers, and the
+    base divisor is ranked on the same grid. The reduced divisors agree
+    with those of the unit subdivision at any scale that holds the points
+    (Hladky-Kral-Norine 2013), so the ranks are those of q_rank on the
+    perturbed graph, and metric reduction costs the same whatever the
+    grid's size. Ranks are taken without the 2N subdivision audit, which
+    would double the work per sample.
     """
     import random
 
@@ -531,6 +558,7 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
         raise MetricError("eps must be positive")
     if eps >= min(qg.lengths):
         raise MetricError("eps must be smaller than the minimum edge length")
+    _check_bound(qg, d)
     rng = random.Random(seed)
     # A finer eps brings its own denominator and gets a finer grid.
     step = Fraction(4, _PROBE_GRID)
@@ -538,24 +566,41 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
         step = eps / 4
     top = int(eps / step)
     scales = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
-    base_rank = q_rank(qg, d, audit=False)
     model, base = qg.model, qg.lengths
     vertex, interior = _plain(d)
     points = [p for p in d.support() if p.vertex is None]
+    grid = 4 * step.denominator * math.lcm(
+        *(l.denominator for l in base),
+        *(x.denominator * base[e].numerator for e, x, _ in interior),
+    )
+    units = [_on_grid(l, grid) for l in base]
+    placed = [(e, _on_grid(x, grid), c) for e, x, c in interior]
+    base_rank = _rank_on_grid(model, units, _place(model, units, vertex, placed))
+    # Per scale: u_s, and for each point (x_p / l_e) * u_s, the units it
+    # moves by per step its edge stretches.
+    shares = [x / base[e] for e, x, _ in interior]
+    moves = []
+    for scale in scales:
+        u = _on_grid(step * scale, grid)
+        moves.append((u, [_on_grid(r, u) for r in shares]))
     records = []
     for idx in range(samples):
-        deltas = tuple(step * rng.randint(-top, top) for _ in base)
-        shifts = tuple((p, step * rng.randint(-top, top)) for p in points)
+        stretch = [rng.randint(-top, top) for _ in base]
+        shift = [rng.randint(-top, top) for _ in points]
         ranks = []
-        for scale in scales:
-            # Each point keeps its share of its stretched edge, then moves by
-            # its shift, clamped to the edge.
-            lengths = [l + delta * scale for l, delta in zip(base, deltas)]
-            moved = []
-            for (e, x, c), (_, shift) in zip(interior, shifts):
-                x = x * lengths[e] / base[e] + shift * scale
-                moved.append((e, min(max(x, Fraction(0)), lengths[e]), c))
-            ranks.append(_grid_rank(model, lengths, vertex, moved, False))
+        for u, share in moves:
+            lengths = [l + i * u for l, i in zip(units, stretch)]
+            if any(l <= 0 for l in lengths):
+                raise MetricError("edge lengths must be positive")
+            moved = [
+                (e, pos + k * stretch[e] + j * u, c)
+                for (e, pos, c), k, j in zip(placed, share, shift)
+            ]
+            ranks.append(
+                _rank_on_grid(model, lengths, _place(model, lengths, vertex, moved))
+            )
+        deltas = tuple(step * i for i in stretch)
+        shifts = tuple((p, step * j) for p, j in zip(points, shift))
         violation = all(r > base_rank for r in ranks)
         records.append(
             ProbeRecord(

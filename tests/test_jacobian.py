@@ -131,6 +131,22 @@ def test_noncyclic_jacobians_reach_the_residual_block(monkeypatch):
         assert residual_rows and residual_rows[0] >= 2, name
 
 
+def test_residual_factors_that_miss_the_determinant_raise(monkeypatch):
+    """The factors of the residual block must multiply to the core's
+    determinant. A dense SNF that returns a wrong diagonal raises
+    AssertionError, raised explicitly so that python -O keeps the check."""
+    dense = jacobian.smith_normal_form
+
+    def wrong_diagonal(matrix):
+        u, diag, v = dense(matrix)
+        return u, [2 * x for x in diag], v
+
+    monkeypatch.setattr(jacobian, "smith_normal_form", wrong_diagonal)
+    for name, (g, _) in NONCYCLIC.items():
+        with pytest.raises(AssertionError, match="determinant"):
+            cf.jacobian_structure(_fresh(g))
+
+
 def _larger_graphs():
     for i in range(12):
         yield cf.random_multigraph(5 + i % 5, 1 + i % 4, seed=9300 + i)

@@ -1,6 +1,7 @@
 """Metric graphs: native reduction against the unit-model oracle, rational
 ranks, function divisors, probes."""
 
+import json
 import math
 import random
 import warnings
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import chipfire as cf
 from chipfire import DiscontinuityError, MetricError, NonIntegerSlopeError
 from chipfire import metric
+from chipfire.cli import main
 from chipfire.divisors import reduce_vector
 from chipfire.metric import _MetricSession, _grid_state, _on_grid, _plain
 
@@ -277,6 +279,8 @@ def test_q_rank_rejects_divisor_of_another_qgraph():
     d = cf.QDivisor(long, {long.point(0, F(1, 2)): 3})
     with pytest.raises(cf.UnboundVertexError):
         cf.q_rank(short, d)
+    with pytest.raises(cf.UnboundVertexError):
+        cf.semicontinuity_probe(short, d, eps=F(1, 6), samples=1, seed=0)
     assert cf.q_rank(cf.QGraph(cf.banana_graph(4), [2, 1, 1, 1]), d) == cf.q_rank(long, d)
 
 
@@ -313,6 +317,39 @@ def test_q_rank_invariant_under_integer_scaling():
         sp = scaled.point(0, F(1, 3) * k)
         sd = cf.QDivisor(scaled, {sp: 2, scaled.vertex_point("Q2"): 1})
         assert cf.q_rank(scaled, sd) == base
+
+
+def test_subdivision_audit_disagreement_raises(capsys):
+    """The 2N audit is a live check. With the rank at scale 2N off by one,
+    q_rank raises SubdivisionAuditError (audit=False still ranks once, at
+    N), and the CLI's qrank --json exits 1 with an error payload and no
+    traceback."""
+    real = metric._rank_on_grid
+    calls = []
+
+    def off_at_2n(model, units, state):
+        calls.append(units)
+        value = real(model, units, state)
+        if len(calls) == 2:
+            assert units == [2 * l for l in calls[0]]
+            return value + 1
+        return value
+
+    with mock.patch.object(metric, "_rank_on_grid", off_at_2n):
+        with pytest.raises(cf.SubdivisionAuditError, match="at scale 4"):
+            cf.q_rank(_BANANA, _BANANA_MID)
+        calls.clear()
+        assert cf.q_rank(_BANANA, _BANANA_MID, audit=False) == 1
+        calls.clear()
+        code = main([
+            "--json", "qrank", "banana(4)", '[{"edge": 0, "offset": "1/2", "coeff": 3}]'
+        ])
+    captured = capsys.readouterr()
+    assert code == 1
+    payload = json.loads(captured.out)
+    assert payload["status"] == "error"
+    assert "rank 1 at scale 2 but 2 at scale 4" in payload["error"]
+    assert "Traceback" not in captured.out + captured.err
 
 
 # -- function divisors -------------------------------------------------------
@@ -464,9 +501,13 @@ def test_probe_no_violations():
 _PATH = cf.QGraph.unit(cf.path_graph(2))
 _BANANA = cf.QGraph.unit(cf.banana_graph(4))
 _THETA = cf.parse_qgraph("a b 1\na b 1/2\na c 1/2\nc b 1/2\n")
+# Length numerators above 1 over different denominators, and points at
+# non-dyadic offsets: the probe's grid needs the factor num(l) * den(x),
+# as 1/3 of 5/7 is a share of 7/15 and no denominator brings the 5.
+_ODD = cf.parse_qgraph("a b 3/2\na b 5/7\na b 4/3\n")
 
 # The three instances of acceptance criterion 10, then a divisor with two
-# support points on one edge.
+# support points on one edge, and one on the graph of odd lengths.
 _BANANA_MID = cf.QDivisor(_BANANA, {_BANANA.point(0, F(1, 2)): 3})
 _PROBE_CASES = (
     (_BANANA, _BANANA_MID),
@@ -477,6 +518,7 @@ _PROBE_CASES = (
     (_THETA, cf.QDivisor(
         _THETA, {_THETA.point(2, F(1, 6)): 2, _THETA.point(2, F(1, 3)): 1}
     )),
+    (_ODD, cf.QDivisor(_ODD, {_ODD.point(1, F(1, 3)): 2, _ODD.point(2, F(4, 9)): 1})),
 )
 
 
@@ -508,13 +550,15 @@ def _perturbed(qg, d, record, scale):
 
 
 def test_probe_ranks_match_public_objects():
-    """semicontinuity_probe ranks its perturbed samples from plain data. Each
-    record's ranks must equal q_rank of the perturbed graph and divisor
-    rebuilt through the public constructors, on the criterion-10 instances
-    and on two points of one edge, with eps up to just below the shortest
-    length, so that points clamp to an edge end, land on a vertex and meet.
-    Each of the three must be reached."""
+    """semicontinuity_probe ranks its perturbed samples on one integer grid.
+    Each record's ranks must equal q_rank of the perturbed graph and divisor
+    rebuilt through the public constructors, on the criterion-10 instances,
+    on two points of one edge and on the graph of odd lengths, with eps up
+    to just below the shortest length, so that points clamp to an edge end,
+    land on a vertex and meet. Each case is drawn, and each of the three is
+    reached."""
     reached = set()
+    drawn = set()
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(
@@ -523,6 +567,7 @@ def test_probe_ranks_match_public_objects():
         st.integers(1, 11),
     )
     def check(case, seed, twelfths):
+        drawn.add(case)
         qg, d = _PROBE_CASES[case]
         eps = min(qg.lengths) * F(twelfths, 12)
         report = cf.semicontinuity_probe(qg, d, eps=eps, samples=3, seed=seed)
@@ -536,6 +581,7 @@ def test_probe_ranks_match_public_objects():
             assert list(record.ranks) == expected, (case, seed, eps, record)
 
     check()
+    assert drawn == set(range(len(_PROBE_CASES)))
     assert reached == {"clamped", "on a vertex", "merged"}
 
 

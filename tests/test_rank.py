@@ -1,5 +1,6 @@
 """The rank engine: values, certificates, ordering divisors, Riemann-Roch."""
 
+import dataclasses
 import importlib
 import itertools
 import random
@@ -387,6 +388,65 @@ def test_single_vertex_graph_ranks():
     neg = cf.rank_with_certificate(g, cf.Divisor(g, {"v1": -2}))
     assert neg.nu_ordering == ("v1",)
     assert neg.verify(g, cf.Divisor(g, {"v1": -2}))
+
+
+def test_tampered_rank_certificate_fails_to_verify():
+    """On the banana graph with three edges, D = (Q1) + (Q2) has rank 1.
+    Every field of its certificate, changed so that the certificate no
+    longer proves the value, makes verify return False: a wrong rank, a
+    witness that is missing, not effective or not equivalent to D, and
+    failing evidence that is missing, of the wrong degree, not effective,
+    or leaves D - E winnable."""
+    g = cf.banana_graph(3)
+    d = cf.Divisor(g, {"Q1": 1, "Q2": 1})
+    res = cf.rank_with_certificate(g, d)
+    assert res.rank == 1 and res.verify(g, d)
+    tampered = {
+        "rank": (0, 2, -1),
+        "effective_witness": (
+            None,
+            cf.Divisor(g, {"Q1": 4, "Q2": -2}),  # D after Q2 fires
+            res.effective_witness + cf.Divisor(g, {"Q1": 1}),
+        ),
+        "failing_evidence": (
+            None,
+            res.failing_evidence + cf.Divisor(g, {"Q1": 1}),
+            cf.Divisor(g, {"Q1": 3, "Q2": -1}),
+            d,
+        ),
+    }
+    for field, values in tampered.items():
+        for value in values:
+            bad = dataclasses.replace(res, **{field: value})
+            assert not bad.verify(g, d), (field, value)
+
+
+def test_tampered_ordering_certificate_fails_to_verify():
+    """On the 3-cycle, D = (v2) - (v1) is not principal, so its rank is -1.
+    Every field of its certificate, changed so that the certificate no
+    longer proves the value, makes verify return False: a rank of 0 with
+    no witness, an ordering that is missing or no permutation of the
+    vertices, a nu that is missing or is not the ordering's, and an
+    ordering together with its own nu that does not dominate D."""
+    g = cf.cycle_graph(3)
+    d = cf.Divisor(g, {"v2": 1, "v1": -1})
+    res = cf.rank_with_certificate(g, d)
+    assert res.rank == -1 and res.verify(g, d)
+    other = ("v1", "v2", "v3")
+    assert other != res.nu_ordering
+    assert not cf.is_winnable(g, cf.nu_divisor(g, other) - d)
+    tampered = (
+        {"rank": 0},
+        {"nu_ordering": None},
+        {"nu_ordering": ("v1", "v3")},
+        {"nu_ordering": ("v1", "v1", "v2")},
+        {"nu_ordering": other},
+        {"nu": None},
+        {"nu": res.nu + cf.Divisor(g, {"v1": 1})},
+        {"nu_ordering": other, "nu": cf.nu_divisor(g, other)},
+    )
+    for fields in tampered:
+        assert not dataclasses.replace(res, **fields).verify(g, d), fields
 
 
 # -- Riemann-Roch -------------------------------------------------------------
