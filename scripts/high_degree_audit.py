@@ -14,8 +14,18 @@ random multigraphs, and 2x and 3x subdivisions of genus-2 and genus-3
 graphs) and one seeded reduced divisor of each degree 2g - 1, 2g and
 2g + 1, both run on a fresh copy of the graph and a fresh session; a row
 gives the median wall time of --repeats runs of each, summed over the
-three degrees. The script prints one JSON row per graph, then a JSON
-summary, and exits non-zero unless both return True on every divisor.
+three degrees.
+
+A shared-session pass then runs the three audits on one fresh copy of
+each graph, through that graph's own session (rank._graph_session), in
+the order 2g, 2g + 1, 2g - 1, and counts the configurations each walks.
+The audit at 2g (k = g) walks every superstable, so the graph keeps its
+verdict and the audit at 2g + 1 must walk none; at 2g - 1 (k = g - 1) the
+verdict depends on the divisor, so that audit must still walk.
+
+The script prints one JSON row per graph, then a JSON summary, and exits
+non-zero unless the audit and the search return True on every divisor
+and the shared-session pass walks as described.
 
     PYTHONPATH=src python3 scripts/high_degree_audit.py [--repeats 5]
 """
@@ -72,17 +82,44 @@ def _timed(check, g, red, k, repeats):
     return value, statistics.median(times)
 
 
+def _shared_session(g, divisors):
+    """(returned, configurations walked) of each audit, in the order 2g,
+    2g + 1, 2g - 1, all on the session of one fresh copy of g."""
+    sess = rank_module._graph_session(cf.MultiGraph(g.vertices, g.edges))
+    real_steps = rank_module._superstable_steps
+    walked = []
+
+    def counted(*args):
+        for step in real_steps(*args):
+            walked.append(step)
+            yield step
+
+    by_degree = dict(zip(("2g-1", "2g", "2g+1"), divisors))
+    out = {}
+    rank_module._superstable_steps = counted
+    try:
+        for label in ("2g", "2g+1", "2g-1"):
+            del walked[:]
+            returned = sess.audit_high_degree(*by_degree[label])
+            out[label] = (returned, len(walked))
+    finally:
+        rank_module._superstable_steps = real_steps
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     rows = []
     failures = []
+    unshared = []
     for seed, (name, g) in enumerate(_panel()):
         audit_s = search_s = 0.0
         classes = 0
         agree = True
-        for red, k in _divisors(g, seed):
+        divisors = list(_divisors(g, seed))
+        for red, k in divisors:
             audited, a_s = _timed(
                 rank_module._Session.audit_high_degree, g, red, k, args.repeats
             )
@@ -91,6 +128,12 @@ def main():
             search_s += s_s
             classes += sum(1 for _ in cf.superstable_configs(g, max_size=k))
             agree = agree and audited is searched is True
+        shared = _shared_session(g, divisors)
+        shared_ok = (
+            all(returned is True for returned, _ in shared.values())
+            and shared["2g+1"][1] == 0
+            and shared["2g-1"][1] > 0
+        )
         row = {
             "graph": name,
             "n": len(g.vertices),
@@ -100,11 +143,15 @@ def main():
             "search_ms": round(search_s * 1000, 3),
             "speedup": round(search_s / audit_s, 2),
             "agree": agree,
+            "shared_walks": {label: walks for label, (_, walks) in shared.items()},
+            "shared_ok": shared_ok,
         }
         rows.append(row)
         print(json.dumps(row))
         if not agree:
             failures.append(name)
+        if not shared_ok:
+            unshared.append(name)
     audit_ms = sum(r["audit_ms"] for r in rows)
     search_ms = sum(r["search_ms"] for r in rows)
     print(json.dumps({
@@ -114,9 +161,12 @@ def main():
         "panel_search_ms": round(search_ms, 3),
         "panel_speedup": round(search_ms / audit_ms, 2),
         "all_agree": not failures,
+        "shared_ok": not unshared,
     }))
     if failures:
         sys.exit(f"the audit and the search disagree on {failures}")
+    if unshared:
+        sys.exit(f"the shared-session audits walked wrongly on {unshared}")
 
 
 if __name__ == "__main__":

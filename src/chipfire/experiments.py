@@ -30,12 +30,7 @@ from .graphs import (
 )
 from .divisors import Divisor
 from .rank import rank
-from .linear_systems import (
-    exists_grd_witness,
-    gonality,
-    min_degree_grd,
-    rank_degree_floor,
-)
+from .linear_systems import exists_grd_witness, gonality, min_degree_grd
 
 
 def brill_noether_threshold(g: int, r: int) -> int:
@@ -260,19 +255,14 @@ def subdivision_instance(graph: MultiGraph, params: dict, seed: int) -> dict:
             # The transported base witness must keep its rank, which
             # settles existence at the base degree; existence at a given
             # degree is monotone in the degree, so one check just below
-            # the base rules out every smaller degree. Degrees under the
-            # Clifford/Riemann-Roch floor need no search at all.
+            # the base rules out every smaller degree. Below the
+            # Clifford/Riemann-Roch floor that check enumerates nothing.
             carried = Divisor(sub, {vmap[v]: c for v, c in base.divisor.items()})
             if rank(sub, carried) < r:
                 raise AssertionError(
                     "rank must survive subdivision at the base degree; bug"
                 )
-            d_below = base.degree - 1
-            smaller = (
-                exists_grd_witness(sub, r, d_below)
-                if d_below >= rank_degree_floor(g, r)
-                else None
-            )
+            smaller = exists_grd_witness(sub, r, base.degree - 1)
             value = base.degree if smaller is None else smaller.degree
             entry["subdivided"][str(k)] = value
             if value != base.degree:

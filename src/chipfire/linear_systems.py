@@ -32,8 +32,11 @@ def _witness_at_degree(sess, g, r, d):
     Whether such a class exists is monotone in d: adding chips at the base
     vertex never lowers rank. Only configurations of size at most d - r
     can carry rank r: if r(D) >= r, then D - r(q) is winnable and still
-    q-reduced, so the reduced form of D has at least r chips at q.
+    q-reduced, so the reduced form of D has at least r chips at q. Below
+    rank_degree_floor(genus, r) no class has rank r, so none is enumerated.
     """
+    if d < rank_degree_floor(genus(g), r):
+        return None
     for config in superstable_configs(g, max_size=d - r, _tested=sess.tested):
         vec = list(config)
         vec[0] = d - sum(config)
@@ -48,8 +51,9 @@ def _witness_at_degree(sess, g, r, d):
 
 def exists_grd_witness(g: MultiGraph, r: int, d: int):
     """A witness of degree exactly d and rank >= r if one exists, else None."""
-    if r < 0 or d < 0:
-        raise ValueError("rank and degree must be nonnegative")
+    for name, value in (("r", r), ("d", d)):
+        if type(value) is not int or value < 0:  # a bool is refused too
+            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
     return _witness_at_degree(_graph_session(g), g, r, d)
 
 

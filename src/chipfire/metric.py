@@ -347,9 +347,9 @@ def _grid_state(model, lengths, vertex, interior):
     return units, _place(model, units, vertex, positions), scale
 
 
-def _rank_on_grid(model, units, state) -> int:
+def _rank_on_grid(model, units, state, clifford=False) -> int:
     sess = _MetricSession(model, units)
-    return _rank_reduced(sess, sess.reduced(state))
+    return _rank_reduced(sess, sess.reduced(state), clifford)
 
 
 def _grid_rank(model, lengths, vertex, interior, audit) -> int:
@@ -545,7 +545,10 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     (Hladky-Kral-Norine 2013), so the ranks are those of q_rank on the
     perturbed graph, and metric reduction costs the same whatever the
     grid's size. Ranks are taken without the 2N subdivision audit, which
-    would double the work per sample.
+    would double the work per sample, and their search stops at Clifford's
+    bound r <= deg / 2 for degrees up to 2g - 2 (from the metric
+    Riemann-Roch theorem, Gathmann-Kerber 2008), where the next level
+    would have to fail.
     """
     import random
 
@@ -575,7 +578,9 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     )
     units = [_on_grid(l, grid) for l in base]
     placed = [(e, _on_grid(x, grid), c) for e, x, c in interior]
-    base_rank = _rank_on_grid(model, units, _place(model, units, vertex, placed))
+    base_rank = _rank_on_grid(
+        model, units, _place(model, units, vertex, placed), clifford=True
+    )
     # Per scale: u_s, and for each point (x_p / l_e) * u_s, the units it
     # moves by per step its edge stretches.
     shares = [x / base[e] for e, x, _ in interior]
@@ -596,9 +601,8 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
                 (e, pos + k * stretch[e] + j * u, c)
                 for (e, pos, c), k, j in zip(placed, share, shift)
             ]
-            ranks.append(
-                _rank_on_grid(model, lengths, _place(model, lengths, vertex, moved))
-            )
+            state = _place(model, lengths, vertex, moved)
+            ranks.append(_rank_on_grid(model, lengths, state, clifford=True))
         deltas = tuple(step * i for i in stretch)
         shifts = tuple((p, step * j) for p, j in zip(points, shift))
         violation = all(r > base_rank for r in ranks)

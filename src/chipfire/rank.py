@@ -21,8 +21,18 @@ instead. At deg D = g - 1 both searches have the same depth and the dual
 would only cost one more reduction; above 2g - 2 the value deg D - g is
 forced, and the session audits it: one reduced member per effective class
 of degree deg D - g, each one chip from an earlier one, or on a metric
-graph the search. Callers that check an identity the duality would
-assume keep the direct search: riemann_roch_check
+graph the search. That audit walks all of Jac(G) whenever deg D - g >= g,
+and its verdict then belongs to the graph, so the session keeps one
+per-graph entry for it and audits such a degree once per graph object;
+at deg D = 2g - 1 it stays per divisor.
+
+The search loop stops where a bound already proves the next level fails.
+On the paths that rest on Riemann-Roch (rank(), the exact rank of a g^r_d
+witness, and semicontinuity_probe's ranks) that is Clifford's bound,
+r(D) <= deg D / 2 for 0 <= deg D <= 2g - 2; the g^r_d enumeration skips
+every degree below rank_degree_floor, its consequence. Callers that
+check an identity the duality would assume keep the direct search, which
+stops only at r(D) <= deg D, true by definition: riemann_roch_check
 (both sides), rank_with_certificate (its failing evidence is read off
 the direct search), gap_sequence (its gap count follows from
 Riemann-Roch), and metric_rr_check and q_rank.
@@ -53,6 +63,11 @@ from .divisors import (
     is_winnable,
     reduce_vector,
 )
+
+
+# The geq_memo key of a high-degree audit that walked every superstable and
+# passed: a verdict on the graph, not on one divisor (_Session.audit_high_degree).
+_JACOBIAN_PASS = "every class of the Jacobian"
 
 
 class _Session:
@@ -113,8 +128,20 @@ class _Session:
         one plus a chip at v, so the reduced D - c is one _child step away,
         and D - E is winnable when it keeps k - |c| chips at q. The walk
         tests each configuration once per session (tested), and a pass is
-        the answer to "r(D) >= k", so geq_memo keeps it."""
-        if self.geq_memo.get((red, k)) is True:
+        the answer to "r(D) >= k", so geq_memo keeps it.
+
+        The reduced D - c is (deg D - |c| - |c'|)(q) + c' with c'
+        superstable, so the test reads |c'| <= deg D - k. When k >= g and
+        deg D - k = g, as rank() asks, the walk visits every superstable
+        (all have size <= g), so [D] - [c] runs over all of Jac(G) and the
+        verdict belongs to the graph: a pass is kept once per graph, under
+        _JACOBIAN_PASS, and answers every later such call at once. At
+        k = g - 1 the size-g configurations are skipped, so the verdict
+        depends on D and stays per divisor."""
+        gg = genus(self.graph)
+        whole = k >= gg and sum(red) - k == gg
+        memo = self.geq_memo
+        if memo.get((red, k)) is True or (whole and _JACOBIAN_PASS in memo):
             return True
         path = [red]  # path[s]: reduced D - c for the last c of size s
         for c, v in _superstable_steps(self.graph, k, self.tested):
@@ -123,7 +150,7 @@ class _Session:
                 path[s:] = [_child(self, path[s - 1], v)]
             if path[s][0] < k - s:
                 return False
-        self.geq_memo[red, k] = True
+        memo[_JACOBIAN_PASS if whole else (red, k)] = True
         return True
 
     def probe_order(self, red):
@@ -202,8 +229,16 @@ def _search(sess, red, k):
         ) from None
 
 
-def _rank_reduced(sess, red):
-    """Exact rank of a q-reduced coefficient tuple."""
+def _rank_reduced(sess, red, clifford=False):
+    """Exact rank of a q-reduced coefficient tuple.
+
+    The search for r(D) >= k + 1 runs while k < deg D: removing deg D + 1
+    chips leaves negative degree, so r(D) <= deg D by definition. With
+    clifford it stops at deg D // 2 instead, by Clifford's bound
+    r(D) <= deg D / 2 for an effective D of degree <= 2g - 2 (Baker-Norine
+    2007; on metric graphs from Gathmann-Kerber 2008). Only the paths that
+    already rest on Riemann-Roch pass it; an identity check keeps the
+    bound that holds by definition."""
     if red[0] < 0:
         return -1
     deg = sess.degree(red)
@@ -214,8 +249,9 @@ def _rank_reduced(sess, red):
                 "high-degree rank audit failed; the reduction engine is broken"
             )
         return deg - gg
+    top = deg // 2 if clifford else deg
     k = 0
-    while _search(sess, red, k + 1):
+    while k < top and _search(sess, red, k + 1):
         k += 1
     return k
 
@@ -239,9 +275,10 @@ def _rank_at_least(sess, red, k):
 
 
 def _rank_of(sess, red):
-    """r(D) for a q-reduced D, searched on K - D when _dual says so."""
+    """r(D) for a q-reduced D, searched on K - D when _dual says so, up to
+    Clifford's bound."""
     red, shift = _dual(sess, red)
-    return _rank_reduced(sess, red) + shift
+    return _rank_reduced(sess, red, clifford=True) + shift
 
 
 def rank(g: MultiGraph, d: Divisor) -> int:

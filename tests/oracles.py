@@ -223,3 +223,45 @@ def unit_model_oracle(qg, scale):
         return _subdivision_label(u, v, point.edge, int(position))
 
     return graph, vertex_of
+
+
+def _reduced_on_complete(vec):
+    """The q-reduced form (q = vertex 0) of a divisor on K_n, by Dhar
+    burning written out for the complete graph: a vertex burns once more
+    vertices have burnt than it holds chips, and the unburnt set fires."""
+    n = len(vec)
+    d = list(vec)
+    debt = max([0] + [-c for c in d[1:]])
+    d = [d[0] - (n - 1) * debt] + [c + debt for c in d[1:]]  # q fires debt times
+    while True:
+        burnt = {0}
+        grew = True
+        while grew:
+            grew = False
+            for v in range(1, n):
+                if v not in burnt and d[v] < len(burnt):
+                    burnt.add(v)
+                    grew = True
+        if len(burnt) == n:
+            return d
+        for v in range(n):
+            # each unburnt vertex sends one chip to every burnt one
+            d[v] += n - len(burnt) if v in burnt else -len(burnt)
+
+
+def complete_graph_rank(vec) -> int:
+    """Rank of a divisor on K_n (n >= 2), vec its coefficients with the
+    base q at index 0, by the greedy that is exact on complete graphs
+    (Cori-Le Borgne, "On computation of Baker and Norine's rank on
+    complete graphs", 2016): while the q-reduced form keeps D(q) >= 0,
+    remove a chip from a non-q vertex with the fewest chips and reduce
+    again; the rank is the number of removals less one. Ties do not
+    matter: the automorphisms of K_n permute the non-q vertices."""
+    d = _reduced_on_complete(vec)
+    removed = 0
+    while d[0] >= 0:
+        v = min(range(1, len(d)), key=d.__getitem__)
+        d[v] -= 1
+        d = _reduced_on_complete(d)
+        removed += 1
+    return removed - 1

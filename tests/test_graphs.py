@@ -150,6 +150,12 @@ _B3 = cf.banana_graph(3)
         (lambda: cf.random_multigraph(4, -1, 1), GraphError),
         (lambda: cf.min_degree_grd(_B3, True, 3), ValueError),
         (lambda: cf.min_degree_grd(_B3, 1, 3.0), ValueError),
+        (lambda: cf.exists_grd_witness(_B3, True, 3), ValueError),
+        (lambda: cf.exists_grd_witness(_B3, 1.0, 3), ValueError),
+        (lambda: cf.exists_grd_witness(_B3, 1, 2.0), ValueError),
+        (lambda: cf.exists_grd_witness(_B3, 1, "3"), ValueError),
+        (lambda: cf.exists_grd_witness(_B3, -1, 3), ValueError),
+        (lambda: cf.exists_grd_witness(_B3, 1, -1), ValueError),
     ],
 )
 def test_malformed_counts_raise_typed_errors(build, error):

@@ -1,11 +1,13 @@
 """Gonality, minimal-degree systems, Weierstrass points, gaps."""
 
 import functools
+import importlib
 import itertools
 import random
 import sys
 import threading
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,6 +279,39 @@ def test_gonality_degenerate_families():
     assert cf.gonality(cf.banana_graph(1)) == 1  # a single edge is a tree
     assert cf.gonality(cf.banana_graph(2)) == 2  # the 2-cycle has genus 1
     assert cf.weierstrass_points(cf.path_graph(4)) == ()
+
+
+# -- the engine checks are live ------------------------------------------------
+
+_linear_systems = importlib.import_module("chipfire.linear_systems")
+
+
+def test_min_degree_grd_exact_rank_check_is_live():
+    """An engine whose exact rank of a witness overshoots r by one makes
+    min_degree_grd raise rather than report a minimal system of the wrong
+    rank."""
+    g = cf.complete_graph(4)
+    with mock.patch.object(_linear_systems, "_rank_of", lambda sess, red: 2):
+        with pytest.raises(AssertionError, match="has rank 2, expected 1"):
+            cf.min_degree_grd(g, 1, 4)
+
+
+def test_gonality_bound_check_is_live():
+    """An engine that finds no divisor of rank >= 1 breaks the bound
+    gonality <= genus + 1, and gonality raises rather than return None."""
+    g = cf.complete_graph(4)
+    with mock.patch.object(_linear_systems, "_rank_at_least", lambda *args: False):
+        with pytest.raises(AssertionError, match="no rank-1 divisor of degree"):
+            cf.gonality(g)
+
+
+def test_gap_count_check_is_live():
+    """An engine that gives every k(p) rank 0 reports 2g - 1 gaps, not g,
+    and gap_sequence raises."""
+    g = cf.banana_graph(3)
+    with mock.patch.object(_linear_systems, "_rank_reduced", lambda sess, red: 0):
+        with pytest.raises(AssertionError, match="gap count 3 != genus 2"):
+            cf.gap_sequence(g, "Q1")
 
 
 def test_rank_degree_floor():

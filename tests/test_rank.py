@@ -13,7 +13,12 @@ import chipfire as cf
 from chipfire.metric import _MetricSession
 from chipfire.rank import _direct_rank, _rank_reduced
 
-from oracles import all_small_multigraphs, rank_oracle
+from oracles import (
+    all_small_multigraphs,
+    complete_graph_rank,
+    effective_vectors,
+    rank_oracle,
+)
 
 from test_divisors import random_divisor, random_function
 
@@ -109,6 +114,50 @@ def test_clifford_degree_two(seed):
     d = cf.Divisor(g, {g.vertices[i]: 1}) + cf.Divisor(g, {g.vertices[j]: 1})
     r = cf.rank(g, d)
     assert r <= 1
+    # the direct search assumes no Clifford bound, so this is a check on it
+    assert _direct_rank(g, d) <= 1
+
+
+def test_clifford_bound_and_degree_floor_exhaustive_small():
+    """Clifford's bound, r(D) <= deg D / 2 for 0 <= deg D <= 2g - 2, and
+    rank_degree_floor, which follows from it, hold for every class on every
+    small multigraph by the brute-force oracle. rank() stops its search at
+    the bound and the g^r_d enumeration skips degrees below the floor, so
+    neither can be the thing that checks them. An effective divisor of each
+    degree up to 2g - 1 stands for every class of nonnegative rank."""
+    for g in all_small_multigraphs(max_vertices=3, max_edges=5):
+        gg = cf.genus(g)
+        for d in range(2 * gg):
+            for vec in effective_vectors(len(g.vertices), d):
+                r = rank_oracle(g, vec)
+                assert d >= cf.rank_degree_floor(gg, r), (g, vec)
+                if d <= 2 * gg - 2:
+                    assert 2 * r <= d, (g, vec)
+
+
+def test_clifford_cap_ends_only_the_riemann_roch_search():
+    """rank() stops at Clifford's bound; the direct search stops only at
+    r(D) <= deg D, so it still searches level r + 1 where r = deg D / 2.
+    On banana_graph(3), K has r = 1 = deg K / 2 (rank() searches its dual,
+    K - K = 0, at no level); on banana_graph(4), (Q1) + (Q2) has r = 1 =
+    deg / 2 < g (rank() searches it directly, up to level 1)."""
+    real_search = rank_module._search
+    levels = []
+
+    def recorded(sess, red, k):
+        levels.append(k)
+        return real_search(sess, red, k)
+
+    b3, b4 = cf.banana_graph(3), cf.banana_graph(4)
+    cases = [(b3, cf.canonical_divisor(b3)), (b4, cf.Divisor(b4, {"Q1": 1, "Q2": 1}))]
+    with mock.patch.object(rank_module, "_search", recorded):
+        for g, d in cases:
+            levels.clear()
+            assert cf.rank(g, d) == 1
+            assert max(levels, default=0) <= 1
+            levels.clear()
+            assert _direct_rank(g, d) == 1
+            assert 2 in levels
 
 
 # -- the high-degree audit -----------------------------------------------------
@@ -184,6 +233,57 @@ def test_high_degree_audit_catches_a_chip_short_at_q():
         with pytest.raises(AssertionError, match="high-degree rank audit failed"):
             cf.rank(cf.complete_graph(4), d)
     assert cf.rank(g, d) == 2
+
+
+def test_high_degree_audit_runs_once_per_graph():
+    """A passing audit at deg D = 2g (k = g) has walked every superstable,
+    so [D] - [c] ran over all of Jac(G): the graph keeps that verdict, and
+    a 2g + 1 query on the same graph object walks nothing. At 2g - 1
+    (k = g - 1) the size-g configurations are skipped, so the verdict
+    depends on D and that query still walks."""
+    g = cf.complete_graph(4)
+    gg = cf.genus(g)
+    real_steps = rank_module._superstable_steps
+    walked = []
+
+    def steps(*args):
+        for step in real_steps(*args):
+            walked.append(step)
+            yield step
+
+    with mock.patch.object(rank_module, "_superstable_steps", steps):
+        assert cf.rank(g, cf.Divisor(g, {"v1": 2 * gg})) == gg
+        assert len(walked) == 4 ** 2  # every superstable of K4
+        walked.clear()
+        assert cf.rank(g, cf.Divisor(g, {"v2": 2 * gg + 1})) == gg + 1
+        assert walked == []
+        assert cf.rank(g, cf.Divisor(g, {"v3": 2 * gg - 1})) == gg - 1
+        assert walked
+        walked.clear()
+        # another graph object, even an equal one, walks on its own
+        assert cf.rank(cf.complete_graph(4), cf.Divisor(g, {"v2": 2 * gg + 1})) == gg + 1
+        assert len(walked) == 4 ** 2
+
+
+def test_high_degree_audit_catches_a_broken_reducer_on_a_fresh_graph():
+    """The graph keeps the audit's verdict only after a pass, so a reducer
+    that leaves every lending step a chip short at q fails the first
+    high-degree query on a fresh graph at every degree above 2g - 2."""
+    real_reduce = rank_module.reduce_vector
+
+    def short_reduce(graph, vec, q=0, _one_short=False):
+        real_reduce(graph, vec, q, _one_short)
+        if _one_short:
+            vec[q] -= 1
+        return vec
+
+    gg = cf.genus(cf.complete_graph(4))
+    with mock.patch.object(rank_module, "reduce_vector", short_reduce):
+        for degree in (2 * gg - 1, 2 * gg, 2 * gg + 1):
+            g = cf.complete_graph(4)
+            with pytest.raises(AssertionError, match="high-degree rank audit failed"):
+                cf.rank(g, cf.Divisor(g, {"v1": degree}))
+            assert rank_module._JACOBIAN_PASS not in g._rank_memos[0]
 
 
 # -- branching over a rank-determining set -------------------------------------
@@ -362,6 +462,39 @@ def test_ordering_certificate_refuses_unreduced_vector():
     d = cf.Divisor(g, {"Q1": -4, "Q2": 3})  # Q2 can fire: not Q1-reduced
     with pytest.raises(AssertionError, match="not q-reduced"):
         rank_module._ordering_certificate(g, (-4, 3), d)
+
+
+def test_ordering_certificate_domination_check_is_live():
+    """D = 2(Q2) - (Q1) on banana_graph(3) has rank -1 and degree g - 1, so
+    its burning-order nu is equivalent to D. A nu one chip short no longer
+    dominates D, and rank_with_certificate raises rather than return it."""
+    g = cf.banana_graph(3)
+    d = cf.Divisor(g, {"Q1": -1, "Q2": 2})
+    real_nu = rank_module.nu_divisor
+
+    def short_nu(graph, ordering):
+        return real_nu(graph, ordering) - cf.Divisor(graph, {ordering[0]: 1})
+
+    with mock.patch.object(rank_module, "nu_divisor", short_nu):
+        with pytest.raises(AssertionError, match="does not dominate"):
+            cf.rank_with_certificate(g, d)
+    assert cf.rank_with_certificate(g, d).verify(g, d)
+
+
+def test_missing_failing_evidence_is_caught():
+    """An engine that reports one less than the rank finds that the search
+    at its rank + 1 passes, so rank_with_certificate has no failing
+    evidence to read off and raises."""
+    g = cf.banana_graph(3)
+    d = cf.Divisor(g, {"Q1": 1, "Q2": 1})  # rank 1
+    real_rank = rank_module._rank_reduced
+
+    def low_rank(sess, red, clifford=False):
+        return real_rank(sess, red, clifford) - 1
+
+    with mock.patch.object(rank_module, "_rank_reduced", low_rank):
+        with pytest.raises(AssertionError, match="no failing evidence at rank"):
+            cf.rank_with_certificate(g, d)
 
 
 def test_dichotomy_exhaustive_small():
@@ -557,3 +690,68 @@ def test_duality_differential(seed):
         assert started[0] == tuple(cf.q_reduce(g, start, g.vertices[0]).to_vector())
     assert audited or deg <= 2 * gg - 2, "the high-degree audit did not run"
     assert not (audited and searched), "the high-degree audit ran a search"
+
+
+# -- complete graphs beyond brute force ----------------------------------------
+
+
+def test_complete_graph_rank_matches_oracle():
+    """The greedy rank on complete graphs equals the brute-force oracle on
+    K4 (degrees up to 2g + 1) and K5 (up to 5, where the oracle stays
+    fast), on seeded divisors and on the multiples of one vertex."""
+    rng = random.Random("greedy")
+    for n, count, top in ((4, 20, 7), (5, 8, 5)):
+        g = cf.complete_graph(n)
+        cases = [[k] + [0] * (n - 1) for k in range(top + 1)]
+        for _ in range(count):
+            vec = [0] * n
+            for _ in range(rng.randint(0, top + 1)):
+                vec[rng.randrange(n)] += 1
+            vec[rng.randrange(n)] -= rng.randint(0, 1)
+            cases.append(vec)
+        for vec in cases:
+            assert complete_graph_rank(vec) == rank_oracle(g, vec), vec
+
+
+# One graph object per n, so the examples share its rank session, as the
+# queries of one program on one graph do.
+_COMPLETE = {n: cf.complete_graph(n) for n in range(6, 11)}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6))
+def test_complete_graph_differential(seed):
+    """On K6-K10, past the brute-force oracle's reach, the greedy rank
+    must equal rank() (dual and Clifford-capped), the direct search,
+    rank_with_certificate (re-verified) and both sides of
+    riemann_roch_check. Degrees stay at most 2g - 2 except on K6-K7:
+    above it the first audit on a graph walks all of Jac(K_n), n^(n-2)
+    classes. A third of the divisors have degree near g - 1, where both D
+    and K - D can have small rank, and a third degree at most n, where
+    ranks -1 and 0 are common. A direct search costs about n^(r+1) nodes,
+    so it runs only where the greedy rank is at most 2."""
+    rng = random.Random(seed)
+    n = 6 + seed % 5
+    g = _COMPLETE[n]
+    gg = cf.genus(g)
+    top = 2 * gg + 2 if n <= 7 else 2 * gg - 2
+    debt = rng.randint(0, 2)
+    degree = rng.choice([
+        rng.randint(-2, top), gg - 1 + rng.randint(-2, 2), rng.randint(-2, n)
+    ])
+    vec = [0] * n
+    for _ in range(max(0, degree + debt)):
+        vec[rng.randrange(n)] += 1
+    vec[rng.randrange(n)] -= debt
+    d = cf.Divisor.from_vector(g, vec)
+    r = complete_graph_rank(vec)
+    assert cf.rank(g, d) == r
+    if r > 2:
+        return
+    assert _direct_rank(g, d) == r
+    cert = cf.rank_with_certificate(g, d)
+    assert cert.rank == r and cert.verify(g, d)
+    r_k = complete_graph_rank([n - 3 - c for c in vec])  # K = (n - 3) per vertex
+    if r_k <= 2:
+        report = cf.riemann_roch_check(g, d)
+        assert (report.rank, report.canonical_minus_rank, report.equal) == (r, r_k, True)
