@@ -156,6 +156,8 @@ class Divisor(_DivisorCore):
 def _bound_vector(g: MultiGraph, d: Divisor):
     """d.to_vector(), provided d is bound to g or to a graph equal to it;
     otherwise its vector would be read in another vertex order."""
+    if not isinstance(d, Divisor):
+        raise DivisorError(f"expected a Divisor, got {type(d).__name__}")
     if d.graph is not g and d.graph != g:
         raise UnboundVertexError("divisor is bound to a different graph")
     return d.to_vector()

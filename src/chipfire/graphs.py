@@ -26,10 +26,13 @@ class MultiGraph:
 
     Immutable after construction; all derived structure is computed
     lazily and cached on the instance: adjacency, degrees, hop distances,
-    the factor of L_q per root q, the Smith normal form, and the memos of
-    the graph's finite rank session (rank._graph_session): q-reduced forms
-    keyed by the part away from q, rank bounds keyed by (reduced form, k),
-    and the burning test of each configuration a superstable walk tried.
+    the factor of L_q per root q (filled by the first max-script reduction
+    or by jacobian.spanning_tree_count, whichever comes first, and shared
+    by both), the Smith normal form, and the state of the graph's finite
+    rank session (rank._graph_session): its far-first vertex order, and
+    the memos of q-reduced forms keyed by the part away from q, of rank
+    bounds keyed by (reduced form, k), and of the burning test of each
+    configuration a superstable walk tried.
     Every cached value depends on the graph alone, and a memo entry on the
     graph and its key alone, so work that two queries on one graph share
     is done once. The memos grow with the queries made, and a graph built
@@ -181,7 +184,8 @@ class MultiGraph:
 
     def reduced_factor(self, root=0):
         """sparse_factor(self, root), cached per root: the factor the
-        max-script route of q-reduction solves through."""
+        max-script route of q-reduction solves through, and at root 0 the
+        spanning-tree count (its last pivot)."""
         if root not in self._factors:
             self._factors[root] = sparse_factor(self, root)
         return self._factors[root]

@@ -5,11 +5,13 @@ eliminated on sparse rows, the core left is eliminated modulo its own
 determinant D (the lattice it spans contains D Z^m, so a unit of Z/D gives
 a factor of 1), and the dense SNF runs only on a residual block with no
 unit mod D. Its class coordinates are an equivalence oracle independent
-of the chip-firing machinery. The spanning-tree count is det L_q from the sparse
-fraction-free elimination behind the reducer's factor
-(graphs.sparse_factor), so Kirchhoff's |Jac(G)| = det L_q compares the
-Smith normal form with the elimination the reducer actually runs.
-Everything is exact arbitrary-precision integer arithmetic.
+of the chip-firing machinery. The spanning-tree count is det L_q from the
+reducer's own factor, the sparse fraction-free elimination of L_q that
+MultiGraph.reduced_factor caches, so Kirchhoff's |Jac(G)| = det L_q
+compares the Smith normal form with the elimination the reducer solves
+through, and a graph whose trees were counted is not eliminated again by
+its first max-script reduction. Everything is exact arbitrary-precision
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonzeroDegreeError
-from .graphs import MultiGraph, sparse_factor
+from .graphs import MultiGraph
 from .divisors import Divisor, _bound_vector
 
 
@@ -324,12 +326,14 @@ def jacobian_structure(g: MultiGraph) -> AbelianGroupStructure:
 def spanning_tree_count(g: MultiGraph) -> int:
     """Number of spanning trees, det L_q at the base vertex (Kirchhoff).
 
-    The count runs the reducer's elimination but leaves the graph's factor
-    cache as it was: a caller that only counts trees keeps no factor alive,
-    and the first reduction on the graph pays for its own factor whether or
-    not the trees were counted first.
+    The count is the last pivot of the reducer's factor of L_q, which
+    MultiGraph.reduced_factor caches on the graph: every later max-script
+    reduction at the base vertex solves through it without eliminating L_q
+    again. The Smith normal form never reads that factor (its unit pivots
+    and its core determinant are its own eliminations), so Kirchhoff's
+    check still compares two independent computations.
     """
-    return sparse_factor(g, 0)[0]
+    return g.reduced_factor(0)[0]
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,12 @@ from .errors import (
 from .graphs import MultiGraph, banana_graph, genus, _parse_edge_list
 from .divisors import _DivisorCore, _dhar_unburnt, canonical_divisor
 from .rank import (
-    RiemannRochReport, _Session, _rank_reduced, _riemann_roch_report, _search
+    RiemannRochReport,
+    _Session,
+    _far_order,
+    _rank_reduced,
+    _riemann_roch_report,
+    _search,
 )
 
 
@@ -191,6 +196,13 @@ def _on_grid(x: Fraction, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
+def _model_frame(model: MultiGraph):
+    """What a _MetricSession reads of the model alone, whatever the lengths:
+    the search's far_order and the (u, v) vertex indices of each edge."""
+    ends = tuple((model.index(u), model.index(v)) for u, v in model.edges)
+    return _far_order(model), ends
+
+
 class _MetricSession(_Session):
     """rank._Session on a model whose edge lengths are positive integers,
     counted in units of 1/N for the metric graph at scale N.
@@ -208,9 +220,11 @@ class _MetricSession(_Session):
 
     __slots__ = ("ends", "lengths")
 
-    def __init__(self, model: MultiGraph, lengths):
-        super().__init__(model)
-        self.ends = tuple((model.index(u), model.index(v)) for u, v in model.edges)
+    def __init__(self, model: MultiGraph, lengths, frame=None):
+        """frame: _model_frame(model), passed by a caller that ranks on
+        many lengths, so that it reads the model once."""
+        far_order, self.ends = frame or _model_frame(model)
+        super().__init__(model, far_order=far_order)
         self.lengths = tuple(lengths)
 
     def degree(self, red):
@@ -347,8 +361,8 @@ def _grid_state(model, lengths, vertex, interior):
     return units, _place(model, units, vertex, positions), scale
 
 
-def _rank_on_grid(model, units, state, clifford=False) -> int:
-    sess = _MetricSession(model, units)
+def _rank_on_grid(model, units, state, clifford=False, frame=None) -> int:
+    sess = _MetricSession(model, units, frame)
     return _rank_reduced(sess, sess.reduced(state), clifford)
 
 
@@ -368,6 +382,8 @@ def _grid_rank(model, lengths, vertex, interior, audit) -> int:
 
 
 def _check_bound(qg: QGraph, d: QDivisor):
+    if not isinstance(d, QDivisor):
+        raise DivisorError(f"expected a QDivisor, got {type(d).__name__}")
     if d.qgraph is not qg and d.qgraph != qg:
         raise UnboundVertexError("divisor is bound to a different metric graph")
 
@@ -544,11 +560,13 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     with those of the unit subdivision at any scale that holds the points
     (Hladky-Kral-Norine 2013), so the ranks are those of q_rank on the
     perturbed graph, and metric reduction costs the same whatever the
-    grid's size. Ranks are taken without the 2N subdivision audit, which
-    would double the work per sample, and their search stops at Clifford's
-    bound r <= deg / 2 for degrees up to 2g - 2 (from the metric
-    Riemann-Roch theorem, Gathmann-Kerber 2008), where the next level
-    would have to fail.
+    grid's size. The sessions share what they read of the model
+    (_model_frame, built once per call); only the lengths and the memos
+    are per sample and scale. Ranks are taken without the 2N subdivision
+    audit, which would double the work per sample, and their search stops
+    at Clifford's bound r <= deg / 2 for degrees up to 2g - 2 (from the
+    metric Riemann-Roch theorem, Gathmann-Kerber 2008), where the next
+    level would have to fail.
     """
     import random
 
@@ -578,8 +596,9 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     )
     units = [_on_grid(l, grid) for l in base]
     placed = [(e, _on_grid(x, grid), c) for e, x, c in interior]
+    frame = _model_frame(model)
     base_rank = _rank_on_grid(
-        model, units, _place(model, units, vertex, placed), clifford=True
+        model, units, _place(model, units, vertex, placed), True, frame
     )
     # Per scale: u_s, and for each point (x_p / l_e) * u_s, the units it
     # moves by per step its edge stretches.
@@ -602,7 +621,7 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
                 for (e, pos, c), k, j in zip(placed, share, shift)
             ]
             state = _place(model, lengths, vertex, moved)
-            ranks.append(_rank_on_grid(model, lengths, state, clifford=True))
+            ranks.append(_rank_on_grid(model, lengths, state, True, frame))
         deltas = tuple(step * i for i in stretch)
         shifts = tuple((p, step * j) for p, j in zip(points, shift))
         violation = all(r > base_rank for r in ranks)

@@ -96,13 +96,13 @@ class _Session:
 
     __slots__ = ("graph", "n", "far_order", "geq_memo", "reduce_memo", "tested")
 
-    def __init__(self, graph: MultiGraph, memos=None):
+    def __init__(self, graph: MultiGraph, memos=None, far_order=None):
         """memos: the (geq_memo, reduce_memo, tested) dicts to share, as
-        _graph_session passes them; fresh ones by default."""
+        _graph_session passes them; fresh ones by default. far_order: the
+        graph's _far_order, when the caller already has it."""
         self.graph = graph
         self.n = len(graph.vertices)
-        dist = graph.distances(0)
-        self.far_order = sorted(range(self.n), key=lambda v: -dist[v])
+        self.far_order = far_order or _far_order(graph)
         self.geq_memo, self.reduce_memo, self.tested = memos or ({}, {}, {})
 
     def reduced(self, vec_tuple, one_short=False):
@@ -162,16 +162,23 @@ class _Session:
         return zeros + rest
 
 
+def _far_order(g: MultiGraph):
+    """The vertex indices of g, farthest from vertex 0 first by hop distance."""
+    dist = g.distances(0)
+    return tuple(sorted(range(len(dist)), key=lambda v: -dist[v]))
+
+
 def _graph_session(g: MultiGraph) -> _Session:
-    """The finite rank session of g: a _Session on the memos that g keeps
-    in its _rank_memos slot, set on first use, so every query on one graph
-    object shares its reductions, rank bounds and burning tests. The memos
-    hold int tuples and no reference to g, so they die with it."""
+    """The finite rank session of g: a _Session on the memos and the
+    far_order that g keeps in its _rank_memos slot, set on first use, so
+    every query on one graph object shares its reductions, rank bounds and
+    burning tests, and sorts the vertices once. They hold int tuples and
+    no reference to g, so they die with it."""
     memos = g._rank_memos
     if memos is None:
-        memos = ({}, {}, {})
+        memos = ({}, {}, {}, _far_order(g))
         object.__setattr__(g, "_rank_memos", memos)
-    return _Session(g, memos)
+    return _Session(g, memos[:3], memos[3])
 
 
 def _child(sess, red, v):

@@ -154,6 +154,21 @@ def test_divisor_on_another_graph_is_refused(name):
     )
 
 
+@pytest.mark.parametrize("kind", ["qdivisor", "dict"])
+@pytest.mark.parametrize("name", sorted(BOUND_ENTRY_POINTS))
+def test_divisor_of_the_wrong_kind_is_refused(name, kind):
+    """A QDivisor or a plain dict where a Divisor is due is a DivisorError
+    naming the expected type, not an AttributeError on its missing graph."""
+    g = cf.banana_graph(3)
+    qg = cf.QGraph.unit(g)
+    wrong = {
+        "qdivisor": cf.QDivisor(qg, {qg.vertex_point("Q1"): 1}),
+        "dict": {"Q1": 1, "Q2": -1},
+    }[kind]
+    with pytest.raises(DivisorError, match="expected a Divisor"):
+        BOUND_ENTRY_POINTS[name](g, wrong)
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(st.integers(0, 10**6))
 def test_laplacian_degree_zero(seed):

@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
-from chipfire import NonzeroDegreeError, jacobian
+from chipfire import NonzeroDegreeError, graphs, jacobian
 
 from oracles import all_small_multigraphs, equivalent_oracle, spanning_tree_oracle
 
@@ -208,13 +209,29 @@ def test_order_equals_tree_count_random_larger():
 
 
 def test_tree_count_is_the_reducers_determinant():
-    """The tree count runs the reducer's elimination without caching it, and
-    agrees with the factor the reducer then caches."""
+    """The tree count is the last pivot of the factor the reducer caches:
+    counting fills g._factors[0], and a principal divisor check that
+    follows solves through it without eliminating L_q again, while on a
+    fresh graph the first such check eliminates L_q exactly once."""
     for i in range(20):
         g = cf.random_multigraph(3 + i % 6, i % 5, seed=9100 + i)
         trees = cf.spanning_tree_count(g)
-        assert g._factors == {}
-        assert g.reduced_factor(0)[0] == trees == spanning_tree_oracle(g)
+        assert g._factors[0][0] == trees == spanning_tree_oracle(g)
+        # Firing the last vertex -2 times leaves it at least 2 chips in
+        # debt, an input that reduce_vector lowers to the max script.
+        last = g.vertices[-1]
+        d = cf.laplacian_apply(g, {v: -2 if v == last else 0 for v in g.vertices})
+        fresh = cf.MultiGraph(g.vertices, g.edges)
+        with mock.patch.object(
+            graphs, "sparse_factor", wraps=graphs.sparse_factor
+        ) as factor:
+            assert cf.is_equivalent(g, d, cf.zero_divisor(g))
+            assert factor.call_count == 0
+            assert cf.is_equivalent(
+                fresh, cf.Divisor(fresh, dict(d.items())), cf.zero_divisor(fresh)
+            )
+            assert factor.call_count == 1
+        assert fresh._factors == g._factors
 
 
 def test_invariant_factors_independent_of_base_vertex():

@@ -284,6 +284,31 @@ def test_q_rank_rejects_divisor_of_another_qgraph():
     assert cf.q_rank(cf.QGraph(cf.banana_graph(4), [2, 1, 1, 1]), d) == cf.q_rank(long, d)
 
 
+# Every entry point that reads a rational divisor against a metric graph.
+QBOUND_ENTRY_POINTS = {
+    "q_rank": cf.q_rank,
+    "metric_rr_check": cf.metric_rr_check,
+    "semicontinuity_probe": lambda qg, d: cf.semicontinuity_probe(
+        qg, d, eps=F(1, 6), samples=1, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["divisor", "dict"])
+@pytest.mark.parametrize("name", sorted(QBOUND_ENTRY_POINTS))
+def test_divisor_of_the_wrong_kind_is_refused_by_metric_ranks(name, kind):
+    """A graph Divisor or a plain dict where a QDivisor is due is a
+    DivisorError naming the expected type, not an AttributeError on its
+    missing qgraph."""
+    qg = cf.QGraph.unit(cf.banana_graph(4))
+    wrong = {
+        "divisor": cf.Divisor(qg.model, {"Q1": 3}),
+        "dict": {qg.vertex_point("Q1"): 3},
+    }[kind]
+    with pytest.raises(cf.DivisorError, match="expected a QDivisor"):
+        QBOUND_ENTRY_POINTS[name](qg, wrong)
+
+
 def test_q_rank_keeps_qgraphs_on_one_model_apart():
     """Two QGraphs on one model object, lengths (3, 1) and (2, 1) on the
     2-cycle: D = 2(v2) - 2p, p at offset 1 on edge 0, is principal exactly
