@@ -10,11 +10,14 @@ lowest terms and still in the middle third (den = 6 has none and stops at
 whole segments, so the cost should not grow with the denominator.
 
 A probe row is the median wall time of --repeats runs of
-semicontinuity_probe(eps=1/6, samples=27) on one instance, and the metric
-burning passes of one more, counted by wrapping the pass that metric.py
-calls. The instances are the three of criterion 10 and a banana graph with
-lengths 3/2, 5/7 and 4/3 and points at offsets 1/3 and 4/9, whose probe
-grid needs the numerator 5 of a length. The probe ranks its perturbed
+semicontinuity_probe(eps=1/6) on one instance, and the metric burning
+passes of one more, counted by wrapping the pass that metric.py calls.
+Each instance has a row of 27 samples and a row of one sample, the call
+the metric-probe benchmark times, which pays the call's setup (the grid,
+the base rank, the session frame) for its one sample. The instances are
+the three of criterion 10 and a banana graph with lengths 3/2, 5/7 and
+4/3 and points at offsets 1/3 and 4/9, whose probe grid needs the
+numerator 5 of a length. The probe ranks its perturbed
 samples on one integer grid, so every record's ranks are rechecked here
 against q_rank of the perturbed metric graph and divisor, built through
 the public constructors: lengths moved by their deltas, each interior
@@ -37,7 +40,7 @@ import chipfire as cf
 
 DENOMINATORS = (6, 12, 96, 192, 768, 1536, 10**4, 10**5, 10**6)
 PROBE_EPS = Fraction(1, 6)
-PROBE_SAMPLES = 27
+PROBE_SAMPLES = (27, 1)
 PROBE_SEED = 100_000
 
 metric = importlib.import_module("chipfire.metric")
@@ -120,30 +123,32 @@ def _denominator_rows(repeats):
 def _probe_rows(repeats):
     rows = []
     for index, (qg, d) in enumerate(_probe_instances()):
+        for samples in PROBE_SAMPLES:
 
-        def probe():
-            return cf.semicontinuity_probe(
-                qg, d, eps=PROBE_EPS, samples=PROBE_SAMPLES, seed=PROBE_SEED + index
-            )
-
-        report = probe()
-        for record in report.records:
-            expected = [
-                cf.q_rank(*_perturbed(qg, d, record, scale), audit=False)
-                for scale in report.scales
-            ]
-            if list(record.ranks) != expected:
-                raise SystemExit(
-                    f"instance {index}, sample {record.index}: the probe's ranks"
-                    f" {list(record.ranks)}, q_rank of the perturbed objects {expected}"
+            def probe():
+                return cf.semicontinuity_probe(
+                    qg, d, eps=PROBE_EPS, samples=samples, seed=PROBE_SEED + index
                 )
-        ms = _median_ms(probe, repeats)
-        passes = _counted_passes(probe)
-        rows.append({
-            "instance": index, "samples": PROBE_SAMPLES, "median_ms": ms,
-            "metric_burning_passes": passes,
-        })
-        print(f"probe {index}  {PROBE_SAMPLES} samples  {ms:.3f} ms  {passes} passes")
+
+            report = probe()
+            for record in report.records:
+                expected = [
+                    cf.q_rank(*_perturbed(qg, d, record, scale), audit=False)
+                    for scale in report.scales
+                ]
+                if list(record.ranks) != expected:
+                    raise SystemExit(
+                        f"instance {index}, sample {record.index} of {samples}: the"
+                        f" probe's ranks {list(record.ranks)}, q_rank of the"
+                        f" perturbed objects {expected}"
+                    )
+            ms = _median_ms(probe, repeats)
+            passes = _counted_passes(probe)
+            rows.append({
+                "instance": index, "samples": samples, "median_ms": ms,
+                "metric_burning_passes": passes,
+            })
+            print(f"probe {index}  {samples:>2} samples  {ms:.3f} ms  {passes} passes")
     return rows
 
 

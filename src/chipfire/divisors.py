@@ -28,7 +28,7 @@ rank's ordering certificate.
 
 from __future__ import annotations
 
-from .errors import DivisorError, MissingVertexError, UnboundVertexError
+from .errors import DivisorError, MissingVertexError, UnboundVertexError, _expect
 from .graphs import MultiGraph
 
 
@@ -38,14 +38,16 @@ class _DivisorCore:
     (QDivisor).
 
     Coefficients are arbitrary-precision ints; absent points are zero.
-    Subclasses validate and canonicalize points in _point and list them in
-    canonical order in items(); everything else, +, -, negation and
-    integer scaling included, is shared.
+    Subclasses name their carrier's type in _carrier_kind, validate and
+    canonicalize points in _point and list them in canonical order in
+    items(); everything else, +, -, negation and integer scaling included,
+    is shared.
     """
 
     __slots__ = ("_carrier", "_coeffs")
 
     def __init__(self, carrier, coeffs=None):
+        _expect(carrier, self._carrier_kind, DivisorError)
         object.__setattr__(self, "_carrier", carrier)
         clean = {}
         if coeffs:
@@ -124,6 +126,7 @@ class Divisor(_DivisorCore):
     """Sparse integer vector on the vertices of a bound MultiGraph."""
 
     __slots__ = ()
+    _carrier_kind = MultiGraph
 
     @property
     def graph(self) -> MultiGraph:
@@ -156,8 +159,7 @@ class Divisor(_DivisorCore):
 def _bound_vector(g: MultiGraph, d: Divisor):
     """d.to_vector(), provided d is bound to g or to a graph equal to it;
     otherwise its vector would be read in another vertex order."""
-    if not isinstance(d, Divisor):
-        raise DivisorError(f"expected a Divisor, got {type(d).__name__}")
+    _expect(d, Divisor, DivisorError)
     if d.graph is not g and d.graph != g:
         raise UnboundVertexError("divisor is bound to a different graph")
     return d.to_vector()

@@ -81,3 +81,9 @@ class FixtureError(ChipfireError):
 
 class RecordError(ChipfireError):
     """A sweep record has a missing or mistyped entry or names no experiment."""
+
+
+def _expect(value, kind, error):
+    """Raise error, naming the expected type, unless value is a kind."""
+    if not isinstance(value, kind):
+        raise error(f"expected a {kind.__name__}, got {type(value).__name__}")

@@ -61,17 +61,27 @@ class MultiGraph:
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
-        edges = tuple((u, v) for u, v in edges)
         if not vertices:
             raise EmptyGraphError("graph has no vertices")
-        if len(set(vertices)) != len(vertices):
+        try:
+            index = {v: i for i, v in enumerate(vertices)}
+        except TypeError:
+            raise GraphError("vertex labels must be hashable") from None
+        if len(index) != len(vertices):
             raise GraphError("duplicate vertex labels")
-        index = {v: i for i, v in enumerate(vertices)}
-        for u, v in edges:
+        pairs = []
+        for edge in edges:
+            try:
+                u, v = edge
+                known = u in index and v in index
+            except (TypeError, ValueError):  # no pair, or an unhashable end
+                raise GraphError(f"edge {edge!r} is not a pair of vertex labels") from None
             if u == v:
                 raise LoopEdgeError(f"loop edge at {u!r}")
-            if u not in index or v not in index:
+            if not known:
                 raise GraphError(f"edge ({u!r}, {v!r}) uses an unknown vertex")
+            pairs.append((u, v))
+        edges = tuple(pairs)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_index", index)

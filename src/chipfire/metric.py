@@ -11,9 +11,11 @@ divisor into plain data (the model, the Fraction lengths, the vertex chips
 and the (edge, offset, chips) interior triples) and clears it to integers
 by the least common denominator N. semicontinuity_probe fixes one grid per
 call that holds every perturbed sample at every scale, and computes each
-sample's integer lengths and positions directly, without Fractions and
-without building a QGraph or QDivisor. Both place their points with one
-helper (_place). q-reduction runs metric Dhar burning (Luo,
+sample's integer lengths and positions directly, without building a QGraph
+or QDivisor. Fractions appear only at the API boundary: parsed lengths and
+offsets come in, record values go out; the objects' checks, the grids and
+the reduction work on numerators and denominators. Both place their points
+with one helper (_place). q-reduction runs metric Dhar burning (Luo,
 "Rank-determining sets of metric graphs", 2011), the graph burning pass
 on the segments between the special points: the model vertices and the
 support. A firing moves chips across a whole segment in one exact step,
@@ -42,6 +44,7 @@ from .errors import (
     SubdivisionAuditError,
     UnboundVertexError,
     UnrepresentablePointError,
+    _expect,
 )
 from .graphs import MultiGraph, banana_graph, genus, _parse_edge_list
 from .divisors import _DivisorCore, _dhar_unburnt, canonical_divisor
@@ -70,6 +73,9 @@ def _exact(x, what) -> Fraction:
         raise MetricError(f"{what} must be a rational number, got {x!r}") from exc
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 @dataclass(frozen=True)
 class QPoint:
     """A rational point: either a model vertex or an interior edge position."""
@@ -90,10 +96,11 @@ class QGraph:
     __slots__ = ("model", "lengths")
 
     def __init__(self, model: MultiGraph, lengths):
+        _expect(model, MultiGraph, MetricError)
         lengths = tuple(_exact(l, "edge length") for l in lengths)
         if len(lengths) != len(model.edges):
             raise MetricError("one length per model edge required")
-        if any(l <= 0 for l in lengths):
+        if any(l.numerator <= 0 for l in lengths):
             raise MetricError("edge lengths must be positive")
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "lengths", lengths)
@@ -112,7 +119,8 @@ class QGraph:
     @classmethod
     def unit(cls, model: MultiGraph) -> "QGraph":
         """The metric graph in which every model edge has length 1."""
-        return cls(model, [Fraction(1)] * len(model.edges))
+        _expect(model, MultiGraph, MetricError)
+        return cls(model, [_ONE] * len(model.edges))
 
     @property
     def genus(self) -> int:
@@ -135,18 +143,21 @@ class QGraph:
             raise MetricError(f"no edge with index {edge!r}")
         offset = _exact(offset, "offset")
         length = self.lengths[edge]
-        if offset < 0 or offset > length:
+        # Both over the common denominator den(offset) * den(length).
+        at = offset.numerator * length.denominator
+        end = length.numerator * offset.denominator
+        if at < 0 or at > end:
             raise MetricError(f"offset {offset} outside [0, {length}]")
         u, v = self.model.edges[edge]
-        if offset == 0:
+        if not at:
             return QPoint(vertex=u)
-        if offset == length:
+        if at == end:
             return QPoint(vertex=v)
         return QPoint(edge=edge, offset=offset)
 
     def _point_key(self, p: QPoint):
         if p.vertex is not None:
-            return (0, self.model.index(p.vertex), Fraction(0))
+            return (0, self.model.index(p.vertex), _ZERO)
         return (1, p.edge, p.offset)
 
 
@@ -154,6 +165,7 @@ class QDivisor(_DivisorCore):
     """Finite integer combination of rational points of a QGraph."""
 
     __slots__ = ()
+    _carrier_kind = QGraph
 
     @property
     def qgraph(self) -> QGraph:
@@ -181,6 +193,7 @@ class QDivisor(_DivisorCore):
 
 def canonical_qdivisor(qg: QGraph) -> QDivisor:
     """The canonical divisor, supported on the model vertices."""
+    _expect(qg, QGraph, MetricError)
     base = canonical_divisor(qg.model)
     return QDivisor(
         qg, {qg.vertex_point(v): c for v, c in base.items()}
@@ -190,10 +203,12 @@ def canonical_qdivisor(qg: QGraph) -> QDivisor:
 # -- native reduction --------------------------------------------------------
 
 
-def _on_grid(x: Fraction, scale: int) -> int:
-    if scale % x.denominator:
-        raise UnrepresentablePointError(f"{x} is not on the 1/{scale} grid")
-    return x.numerator * (scale // x.denominator)
+def _on_grid(num: int, den: int, scale: int) -> int:
+    """num / den in units of 1 / scale, which must be a whole number."""
+    units, rest = divmod(num * scale, den)
+    if rest:
+        raise UnrepresentablePointError(f"{Fraction(num, den)} is not on the 1/{scale} grid")
+    return units
 
 
 def _model_frame(model: MultiGraph):
@@ -248,12 +263,22 @@ class _MetricSession(_Session):
         where reduce_vector's lending stops, on the reduced form.
         """
         vertex, interior = vec_tuple[:-1], vec_tuple[-1]
+        m = self.n
         while True:
-            if (one_short and all(c >= 0 for c in vertex[1:])
-                    and all(p[2] >= 0 for p in interior)):
+            # The first point away from q in debt, numbered as in _segments.
+            source = 0
+            for a in range(1, m):
+                if vertex[a] < 0:
+                    source = a
+                    break
+            else:
+                for k, point in enumerate(interior):
+                    if point[2] < 0:
+                        source = m + k
+                        break
+            if one_short and not source:
                 return (*vertex, interior)
             chips, adj, segs = self._segments(vertex, interior)
-            source = next((a for a in range(1, len(chips)) if chips[a] < 0), 0)
             members, burnt, _ = _dhar_unburnt(adj, chips, 0, len(chips), source)
             if not source and len(members) == len(chips):
                 return (*vertex, interior)
@@ -271,10 +296,16 @@ class _MetricSession(_Session):
         chips = list(vertex)
         adj = [[] for _ in chips]
         segs = []
-        k = 0
+        lengths = self.lengths
+        k, last = 0, len(interior)
         for e, (u, v) in enumerate(self.ends):
+            if k == last or interior[k][0] != e:  # no interior point on e
+                adj[u].append((v, 1))
+                adj[v].append((u, 1))
+                segs.append((u, v, lengths[e], e, 0))
+                continue
             a, at = u, 0
-            while k < len(interior) and interior[k][0] == e:
+            while k < last and interior[k][0] == e:
                 _, pos, c = interior[k]
                 b = len(chips)
                 chips.append(c)
@@ -285,7 +316,7 @@ class _MetricSession(_Session):
                 k += 1
             adj[a].append((v, 1))
             adj[v].append((a, 1))
-            segs.append((a, v, self.lengths[e] - at, e, at))
+            segs.append((a, v, lengths[e] - at, e, at))
         return chips, adj, segs
 
     def _fire_unburnt(self, chips, segs, burnt, interior):
@@ -297,20 +328,23 @@ class _MetricSession(_Session):
         while lending.
         """
         frontier = [seg for seg in segs if burnt[seg[0]] != burnt[seg[1]]]
-        t = min(seg[2] for seg in frontier)
+        t = min([seg[2] for seg in frontier])
         landed = []
         for a, b, length, e, at in frontier:
-            step = 1
             if burnt[a]:  # the chip runs from b back toward a
-                a, b, at, step = b, a, at + length, -1
-            chips[a] -= 1
-            if length == t:
-                chips[b] += 1
+                chips[b] -= 1
+                end, pos = a, at + length - t
             else:
-                landed.append((e, at + step * t, 1))
+                chips[a] -= 1
+                end, pos = b, at + t
+            if length == t:
+                chips[end] += 1
+            else:
+                landed.append((e, pos, 1))
         m = self.n
         kept = [(e, pos, c) for (e, pos, _), c in zip(interior, chips[m:]) if c]
-        return tuple(chips[:m]), tuple(sorted(kept + landed))
+        # The kept points are in order; a chip that lands mid-segment is not.
+        return tuple(chips[:m]), tuple(sorted(kept + landed) if landed else kept)
 
 
 def _plain(d: QDivisor):
@@ -349,12 +383,12 @@ def _grid_state(model, lengths, vertex, interior):
     scale = math.lcm(
         *(l.denominator for l in lengths), *(x.denominator for _, x, _ in interior)
     )
-    units = [_on_grid(l, scale) for l in lengths]
+    units = [_on_grid(l.numerator, l.denominator, scale) for l in lengths]
     if any(l <= 0 for l in units):
         raise MetricError("edge lengths must be positive")
     positions = []
     for e, x, c in interior:
-        pos = _on_grid(x, scale)
+        pos = _on_grid(x.numerator, x.denominator, scale)
         if pos < 0 or pos > units[e]:
             raise MetricError(f"offset {x} outside [0, {lengths[e]}]")
         positions.append((e, pos, c))
@@ -382,8 +416,8 @@ def _grid_rank(model, lengths, vertex, interior, audit) -> int:
 
 
 def _check_bound(qg: QGraph, d: QDivisor):
-    if not isinstance(d, QDivisor):
-        raise DivisorError(f"expected a QDivisor, got {type(d).__name__}")
+    _expect(qg, QGraph, MetricError)
+    _expect(d, QDivisor, DivisorError)
     if d.qgraph is not qg and d.qgraph != qg:
         raise UnboundVertexError("divisor is bound to a different metric graph")
 
@@ -535,9 +569,11 @@ class ProbeReport:
         return tuple(r for r in self.records if r.violation)
 
 
-# Perturbation directions live on multiples of 4/_PROBE_GRID, so that the
-# 1/2 and 1/4 scales still have denominator <= _PROBE_GRID.
+# Perturbation directions live on multiples of the step 4/_PROBE_GRID, so
+# that the 1/2 and 1/4 scales still have denominator <= _PROBE_GRID.
 _PROBE_GRID = 24
+_PROBE_STEP = Fraction(4, _PROBE_GRID)
+_PROBE_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
 
 
 def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
@@ -556,7 +592,10 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     M = 4 * den(step) * lcm(den l_e, den x_p * num l_e), the move u_s = step
     * s * M is an integer multiple of den(x_p / l_e), so l_e * M + i_e * u_s
     and x_p * M + (x_p / l_e) * i_e * u_s + j_p * u_s are integers, and the
-    base divisor is ranked on the same grid. The reduced divisors agree
+    base divisor is ranked on the same grid. All of it is integer
+    arithmetic on numerators and denominators, with the step (4/24, or
+    eps/4 for a smaller eps) and the scales as constants; the only Fractions
+    made are the record values, one per value a draw can take. The reduced divisors agree
     with those of the unit subdivision at any scale that holds the points
     (Hladky-Kral-Norine 2013), so the ranks are those of q_rank on the
     perturbed graph, and metric reduction costs the same whatever the
@@ -574,39 +613,43 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
         raise ValueError(f"samples must be an int >= 0, got {samples!r}")
     if type(seed) is not int:  # a float or str would be hashed, None read as entropy
         raise ValueError(f"seed must be an int, got {seed!r}")
-    eps = _exact(eps, "eps")
-    if eps <= 0:
-        raise MetricError("eps must be positive")
-    if eps >= min(qg.lengths):
-        raise MetricError("eps must be smaller than the minimum edge length")
     _check_bound(qg, d)
+    eps = _exact(eps, "eps")
+    model, base = qg.model, qg.lengths
+    if not base:
+        raise MetricError("the probe perturbs edge lengths, and this graph has no edges")
+    en, ed = eps.numerator, eps.denominator
+    if en <= 0:
+        raise MetricError("eps must be positive")
+    if any(en * l.denominator >= l.numerator * ed for l in base):
+        raise MetricError("eps must be smaller than the minimum edge length")
     rng = random.Random(seed)
     # A finer eps brings its own denominator and gets a finer grid.
-    step = Fraction(4, _PROBE_GRID)
-    if step > eps:
-        step = eps / 4
-    top = int(eps / step)
-    scales = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
-    model, base = qg.model, qg.lengths
+    sn, sd = _PROBE_STEP.numerator, _PROBE_STEP.denominator
+    if sn * ed > en * sd:  # step = eps / 4
+        common = math.gcd(en, 4)
+        sn, sd = en // common, 4 * ed // common
+    top = en * sd // (ed * sn)
     vertex, interior = _plain(d)
     points = [p for p in d.support() if p.vertex is None]
-    grid = 4 * step.denominator * math.lcm(
+    grid = 4 * sd * math.lcm(
         *(l.denominator for l in base),
         *(x.denominator * base[e].numerator for e, x, _ in interior),
     )
-    units = [_on_grid(l, grid) for l in base]
-    placed = [(e, _on_grid(x, grid), c) for e, x, c in interior]
+    units = [_on_grid(l.numerator, l.denominator, grid) for l in base]
+    placed = [(e, _on_grid(x.numerator, x.denominator, grid), c) for e, x, c in interior]
     frame = _model_frame(model)
     base_rank = _rank_on_grid(
         model, units, _place(model, units, vertex, placed), True, frame
     )
     # Per scale: u_s, and for each point (x_p / l_e) * u_s, the units it
-    # moves by per step its edge stretches.
-    shares = [x / base[e] for e, x, _ in interior]
+    # moves by per step its edge stretches; x_p / l_e is pos / units[e].
     moves = []
-    for scale in scales:
-        u = _on_grid(step * scale, grid)
-        moves.append((u, [_on_grid(r, u) for r in shares]))
+    for scale in _PROBE_SCALES:
+        u = _on_grid(sn * scale.numerator, sd * scale.denominator, grid)
+        moves.append((u, [_on_grid(pos, units[e], u) for e, pos, _ in placed]))
+    # The record value of a draw i is step * i, at index i + top.
+    value = [Fraction(sn * i, sd) for i in range(-top, top + 1)]
     records = []
     for idx in range(samples):
         stretch = [rng.randint(-top, top) for _ in base]
@@ -622,19 +665,16 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
             ]
             state = _place(model, lengths, vertex, moved)
             ranks.append(_rank_on_grid(model, lengths, state, True, frame))
-        deltas = tuple(step * i for i in stretch)
-        shifts = tuple((p, step * j) for p, j in zip(points, shift))
-        violation = all(r > base_rank for r in ranks)
         records.append(
             ProbeRecord(
                 index=idx,
-                length_deltas=deltas,
-                point_shifts=shifts,
+                length_deltas=tuple(value[i + top] for i in stretch),
+                point_shifts=tuple((p, value[j + top]) for p, j in zip(points, shift)),
                 ranks=tuple(ranks),
-                violation=violation,
+                violation=all(r > base_rank for r in ranks),
             )
         )
-    return ProbeReport(base_rank=base_rank, scales=scales, records=tuple(records))
+    return ProbeReport(base_rank=base_rank, scales=_PROBE_SCALES, records=tuple(records))
 
 
 # -- the banana scan ----------------------------------------------------------

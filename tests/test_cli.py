@@ -136,6 +136,16 @@ def test_semicontinuity_malformed_eps_is_error(capsys):
         assert "eps" in payload["error"], eps
 
 
+def test_semicontinuity_on_a_graph_with_no_edges_is_error(capsys):
+    code, payload = run_json(
+        capsys, "semicontinuity", "# vertices: a", '[{"vertex": "a", "coeff": 1}]',
+        "--eps", "1/6", "--samples", "1",
+    )
+    assert code == 1
+    assert payload["status"] == "error"
+    assert "no edges" in payload["error"]
+
+
 def test_rrcheck(capsys):
     code, payload = run_json(capsys, "rrcheck", "banana(3)", '{"Q1": 1, "Q2": 1}')
     assert code == 0 and payload["equal"] is True

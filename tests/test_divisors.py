@@ -169,6 +169,36 @@ def test_divisor_of_the_wrong_kind_is_refused(name, kind):
         BOUND_ENTRY_POINTS[name](g, wrong)
 
 
+_UNIT_B3 = cf.QGraph.unit(cf.banana_graph(3))
+
+
+@pytest.mark.parametrize(
+    "build, error, kind",
+    [
+        (lambda: cf.Divisor("x", {"a": 1}), DivisorError, "MultiGraph"),
+        (lambda: cf.Divisor("x", {}), DivisorError, "MultiGraph"),
+        (lambda: cf.Divisor.from_vector("x", []), DivisorError, "MultiGraph"),
+        (
+            lambda: cf.QDivisor(cf.banana_graph(3), {_UNIT_B3.vertex_point("Q1"): 1}),
+            DivisorError,
+            "QGraph",
+        ),
+        (lambda: cf.QGraph("a b", [1]), cf.MetricError, "MultiGraph"),
+        (lambda: cf.QGraph.unit("x"), cf.MetricError, "MultiGraph"),
+        (lambda: cf.canonical_qdivisor("x"), cf.MetricError, "QGraph"),
+        (lambda: cf.canonical_qdivisor(cf.banana_graph(3)), cf.MetricError, "QGraph"),
+    ],
+    ids=["divisor-str", "divisor-str-empty", "from-vector-str", "qdivisor-graph",
+         "qgraph-str", "unit-str", "canonical-str", "canonical-graph"],
+)
+def test_carrier_of_the_wrong_kind_is_refused(build, error, kind):
+    """A divisor or a metric graph built on a carrier of the wrong kind is a
+    typed error naming the expected type, not an AttributeError on a missing
+    attribute, and never a divisor bound to a string."""
+    with pytest.raises(error, match=f"expected a {kind}, got "):
+        build()
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(st.integers(0, 10**6))
 def test_laplacian_degree_zero(seed):

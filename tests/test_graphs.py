@@ -166,6 +166,26 @@ def test_malformed_counts_raise_typed_errors(build, error):
         build()
 
 
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        (["a"], [("a",)]),
+        (["a", "b"], [("a", "b", "c")]),
+        (["a", "b"], [3]),
+        ([["a"], "b"], []),
+        (["a", "b"], [(["a"], "b")]),
+    ],
+    ids=["edge-of-one", "edge-of-three", "edge-not-a-pair", "unhashable-label",
+         "unhashable-end"],
+)
+def test_malformed_graph_input_raises_graph_error(vertices, edges):
+    """An edge that is not a pair and a label that cannot be a vertex are
+    GraphErrors, not a ValueError from unpacking or a TypeError from
+    hashing."""
+    with pytest.raises(GraphError, match="not a pair|must be hashable"):
+        cf.MultiGraph(vertices, edges)
+
+
 def test_subdivide_names_a_user_label_that_collides_with_a_fresh_label():
     # edge 0 is (a, b), so subdividing it in two makes the fresh vertex a__b__0__1
     g = cf.parse_graph("a b\na b\nb a__b__0__1")

@@ -6,6 +6,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -107,7 +108,7 @@ def test_unit_model_rejects_off_grid_point():
     with pytest.raises(cf.UnrepresentablePointError):
         vertex_of(p)
     with pytest.raises(cf.UnrepresentablePointError):
-        _on_grid(p.offset, 1)
+        _on_grid(p.offset.numerator, p.offset.denominator, 1)
 
 
 # -- native reduction against the unit model ------------------------------------
@@ -307,6 +308,18 @@ def test_divisor_of_the_wrong_kind_is_refused_by_metric_ranks(name, kind):
     }[kind]
     with pytest.raises(cf.DivisorError, match="expected a QDivisor"):
         QBOUND_ENTRY_POINTS[name](qg, wrong)
+
+
+@pytest.mark.parametrize("kind", ["multigraph", "str"])
+@pytest.mark.parametrize("name", sorted(QBOUND_ENTRY_POINTS))
+def test_graph_of_the_wrong_kind_is_refused_by_metric_ranks(name, kind):
+    """A MultiGraph or a str where a QGraph is due is a MetricError naming
+    the expected type; the probe checks it before it reads the lengths."""
+    qg = cf.QGraph.unit(cf.banana_graph(4))
+    d = cf.QDivisor(qg, {qg.point(0, F(1, 2)): 3})
+    wrong = {"multigraph": qg.model, "str": "banana(4)"}[kind]
+    with pytest.raises(MetricError, match="expected a QGraph"):
+        QBOUND_ENTRY_POINTS[name](wrong, d)
 
 
 def test_q_rank_keeps_qgraphs_on_one_model_apart():
@@ -615,6 +628,53 @@ def test_probe_rejects_large_eps():
     d = cf.QDivisor(qg, {})
     with pytest.raises(MetricError):
         cf.semicontinuity_probe(qg, d, eps=F(1, 2), samples=1, seed=0)
+
+
+def test_probe_refuses_a_graph_with_no_edges():
+    """The probe perturbs edge lengths; a one-vertex metric graph has none,
+    and the probe says so instead of failing on an empty minimum."""
+    qg = cf.QGraph(cf.MultiGraph(["a"], []), [])
+    d = cf.QDivisor(qg, {qg.vertex_point("a"): 1})
+    assert cf.q_rank(qg, d) == 1
+    with pytest.raises(MetricError, match="no edges"):
+        cf.semicontinuity_probe(qg, d, eps=F(1, 6), samples=1, seed=0)
+
+
+def test_probe_grid_missing_a_factor_is_refused():
+    """The probe's one grid must hold every perturbed point, or the point
+    would be rounded. Here the grid is built without the factor 5 that only
+    the numerator of the length 5/7 brings: the point at 1/3 of that edge
+    keeps the share 7/15 of it, which the move of one step no longer
+    carries in whole units, and the probe raises instead of rounding."""
+    qg, d = _PROBE_CASES[4]
+    short = SimpleNamespace(gcd=math.gcd, lcm=lambda *ns: math.lcm(*ns) // 5)
+    with mock.patch.object(metric, "math", short):
+        with pytest.raises(cf.UnrepresentablePointError):
+            cf.semicontinuity_probe(qg, d, eps=F(1, 6), samples=1, seed=0)
+    assert cf.semicontinuity_probe(qg, d, eps=F(1, 6), samples=1, seed=0).records
+
+
+@pytest.mark.parametrize("eps", [F(1, 6), F(1, 2), F(2, 15), F(1, 7)])
+def test_probe_records_are_exact_multiples_of_the_step(eps):
+    """Every length delta and point shift of a record is step * i, for the
+    i the probe's seeded generator draws, as a Fraction in lowest terms:
+    step = 4/24 by default and eps / 4 for an eps below it (1/30 for
+    eps = 2/15, whose eps / 4 = 2/60 has a common factor)."""
+    qg, d = _PROBE_CASES[4]
+    points = [p for p in d.support() if p.vertex is None]
+    step = F(4, 24) if eps >= F(4, 24) else eps / 4
+    top = int(eps / step)
+    seed = 11
+    report = cf.semicontinuity_probe(qg, d, eps=eps, samples=40, seed=seed)
+    rng = random.Random(seed)
+    for record in report.records:
+        deltas = [step * rng.randint(-top, top) for _ in qg.lengths]
+        shifts = [(p, step * rng.randint(-top, top)) for p in points]
+        assert list(record.length_deltas) == deltas
+        assert list(record.point_shifts) == shifts
+        for x in [*record.length_deltas, *(x for _, x in record.point_shifts)]:
+            assert type(x) is F
+            assert math.gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
 
 
 def test_norine_scan_values():
