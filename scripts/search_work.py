@@ -20,7 +20,16 @@ A graph keeps its rank session's memos, so each query runs on its graph
 built afresh and its row counts only its own work. Each panel value on a
 graph of at most 5 vertices is checked against the brute-force oracles of
 tests/oracles.py; the script exits non-zero if one differs. It prints one
-JSON row per query, then a JSON summary.
+JSON row per query, then a certificate row, then a JSON summary.
+
+The certificate row is the class-group benchmark's moved-divisor check on
+one of its panel graphs, built afresh: a principal check, then
+is_equivalent, rank_with_certificate and verify on a Laplacian image with
+one chip moved. All of them reduce through the graph's rank session, so
+the moved check reduces only D and nu - D (the zero vector's reduction is
+kept from the principal check) and reads the rest from the memo. The
+script exits non-zero unless the rank is -1, the certificate verifies and
+is_equivalent agrees with the class group (class_coordinates).
 
     PYTHONPATH=src python3 scripts/search_work.py
 """
@@ -179,6 +188,41 @@ def _oracle(query, g, vec):
     return _least_degree_oracle(g, 2, cf.genus(g) + 2)
 
 
+def _certificate_row():
+    """The moved-divisor check on random_multigraph(45, 22, seed=1005), with
+    its counts, and whether its three checks hold."""
+    g = cf.random_multigraph(45, 22, seed=1005)
+    rng = random.Random("certificate row")
+
+    def image():
+        return cf.laplacian_apply(g, {v: rng.randint(-20, 20) for v in g.vertices})
+
+    zero = cf.zero_divisor(g)
+    principal, moved = Counts(), Counts()
+    with principal.installed():
+        principal_ok = cf.is_equivalent(g, image(), zero)
+    src, dst = rng.sample(g.vertices, 2)
+    d = image() - cf.Divisor(g, {src: 1}) + cf.Divisor(g, {dst: 1})
+    with moved.installed():
+        equivalent = cf.is_equivalent(g, d, zero)
+        result = cf.rank_with_certificate(g, d)
+        verified = result.verify(g, d)
+    class_zero = cf.class_coordinates(g, d).is_zero()
+    row = {
+        "query": "moved-divisor certificate",
+        "graph": "random(45,22,seed=1005)",
+        "n": len(g.vertices),
+        "rank": result.rank,
+        "verified": verified,
+        "equivalent": equivalent,
+        "class_zero": class_zero,
+        "principal_reductions": principal.summary()["reductions"],
+    }
+    row.update({k: v for k, v in moved.summary().items() if "_by_" not in k})
+    ok = principal_ok and result.rank == -1 and verified and equivalent == class_zero
+    return row, ok
+
+
 def main():
     total = Counts()
     failures = []
@@ -197,9 +241,17 @@ def main():
                 failures.append(f"{query} on {name}")
         row.update({k: v for k, v in counts.summary().items() if "_by_" not in k})
         print(json.dumps(row))
-    print(json.dumps({"panel": total.summary(), "all_match_oracle": not failures}))
+    row, certificate_ok = _certificate_row()
+    print(json.dumps(row))
+    print(json.dumps({
+        "panel": total.summary(),
+        "all_match_oracle": not failures,
+        "certificate_checks_hold": certificate_ok,
+    }))
     if failures:
         sys.exit(f"values differ from the oracle: {failures}")
+    if not certificate_ok:
+        sys.exit("the moved-divisor certificate row fails its checks")
 
 
 if __name__ == "__main__":

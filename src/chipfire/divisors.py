@@ -24,9 +24,15 @@ two routes, read off the input away from q: burn or max-script.
 _dhar_unburnt is the one burning pass behind lending and burning, the
 superstable enumeration, metric reduction and the burning order of
 rank's ordering certificate.
+
+At the first vertex q_reduce, is_equivalent and is_winnable reduce through
+the graph's rank session (rank._Session.reduced, the one memoized
+reduction), so no vector is reduced twice on one graph object.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 from .errors import DivisorError, MissingVertexError, UnboundVertexError, _expect
 from .graphs import MultiGraph
@@ -50,6 +56,8 @@ class _DivisorCore:
         _expect(carrier, self._carrier_kind, DivisorError)
         object.__setattr__(self, "_carrier", carrier)
         clean = {}
+        if coeffs is not None:
+            _expect(coeffs, Mapping, DivisorError)
         if coeffs:
             canonical = self._point
             for point, value in coeffs.items():
@@ -183,6 +191,7 @@ def laplacian_apply(g: MultiGraph, f) -> Divisor:
     (f(v) - f(w)) over all edge ends at v and always has degree zero. Values
     are never coerced, as in a Divisor.
     """
+    _expect(f, Mapping, DivisorError)
     for label in f:
         if not g.has_vertex(label):
             raise UnboundVertexError(f"vertex {label!r} not in graph")
@@ -434,15 +443,27 @@ def reduce_vector(g: MultiGraph, vec, q=0, _one_short=False):
                     vec[j] -= t * mult
 
 
+def _base_reduced(g: MultiGraph, vec):
+    """The q-reduced form of vec at the first vertex, as a tuple, from g's
+    rank session."""
+    from .rank import _graph_session  # rank imports this module
+
+    return _graph_session(g).reduced(tuple(vec))
+
+
 def q_reduce(g: MultiGraph, d: Divisor, q) -> Divisor:
     """The unique divisor equivalent to d that is q-reduced.
 
     Nonnegative away from q, and no nonempty vertex set avoiding q can fire
-    without driving one of its members negative.
+    without driving one of its members negative. At the first vertex it is
+    read from g's rank session (_base_reduced).
     """
     qi = g.index(q)
     vec = _bound_vector(g, d)
-    reduce_vector(g, vec, qi)
+    if qi:
+        reduce_vector(g, vec, qi)
+    else:
+        vec = _base_reduced(g, vec)
     return Divisor.from_vector(g, vec)
 
 
@@ -456,23 +477,19 @@ def is_q_reduced(g: MultiGraph, d: Divisor, q) -> bool:
 
 
 def is_equivalent(g: MultiGraph, d1: Divisor, d2: Divisor) -> bool:
-    """Linear equivalence: equal degree and equal q-reduction at the first vertex."""
+    """Linear equivalence: equal degree and equal q-reduction at the first
+    vertex, each read from g's rank session (_base_reduced)."""
     v1 = _bound_vector(g, d1)
     v2 = _bound_vector(g, d2)
     if sum(v1) != sum(v2):
         return False
-    if v1 == v2:
-        return True
-    reduce_vector(g, v1, 0)
-    reduce_vector(g, v2, 0)
-    return v1 == v2
+    return v1 == v2 or _base_reduced(g, v1) == _base_reduced(g, v2)
 
 
 def is_winnable(g: MultiGraph, d: Divisor) -> bool:
-    """True iff d is equivalent to an effective divisor."""
-    vec = _bound_vector(g, d)
-    reduce_vector(g, vec, 0)
-    return vec[0] >= 0
+    """True iff d is equivalent to an effective divisor: its q-reduction at
+    the first vertex, read from g's rank session, keeps q out of debt."""
+    return _base_reduced(g, _bound_vector(g, d))[0] >= 0
 
 
 def canonical_divisor(g: MultiGraph) -> Divisor:

@@ -87,3 +87,12 @@ def _expect(value, kind, error):
     """Raise error, naming the expected type, unless value is a kind."""
     if not isinstance(value, kind):
         raise error(f"expected a {kind.__name__}, got {type(value).__name__}")
+
+
+def _expect_iterable(value, what, error):
+    """iter(value), or error naming the expected iterable of what instead of
+    a bare TypeError from iterating a number or None."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise error(f"expected an iterable of {what}, got {type(value).__name__}") from None

@@ -18,6 +18,8 @@ from .errors import (
     EmptyGraphError,
     GraphError,
     LoopEdgeError,
+    _expect,
+    _expect_iterable,
 )
 
 
@@ -60,7 +62,7 @@ class MultiGraph:
     )
 
     def __init__(self, vertices, edges):
-        vertices = tuple(vertices)
+        vertices = tuple(_expect_iterable(vertices, "vertex labels", GraphError))
         if not vertices:
             raise EmptyGraphError("graph has no vertices")
         try:
@@ -70,7 +72,7 @@ class MultiGraph:
         if len(index) != len(vertices):
             raise GraphError("duplicate vertex labels")
         pairs = []
-        for edge in edges:
+        for edge in _expect_iterable(edges, "edges", GraphError):
             try:
                 u, v = edge
                 known = u in index and v in index
@@ -277,6 +279,7 @@ def _parse_edge_list(text: str, with_lengths: bool):
     column: a rational length (default 1), or "inf" for an unbounded end,
     which is dropped with a warning.
     """
+    _expect(text, str, GraphError)
     vertices = []
     seen = set()
     edges = []

@@ -33,6 +33,7 @@ not coerced.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ from .errors import (
     UnboundVertexError,
     UnrepresentablePointError,
     _expect,
+    _expect_iterable,
 )
 from .graphs import MultiGraph, banana_graph, genus, _parse_edge_list
 from .divisors import _DivisorCore, _dhar_unburnt, canonical_divisor
@@ -97,7 +99,10 @@ class QGraph:
 
     def __init__(self, model: MultiGraph, lengths):
         _expect(model, MultiGraph, MetricError)
-        lengths = tuple(_exact(l, "edge length") for l in lengths)
+        lengths = tuple(
+            _exact(l, "edge length")
+            for l in _expect_iterable(lengths, "edge lengths", MetricError)
+        )
         if len(lengths) != len(model.edges):
             raise MetricError("one length per model edge required")
         if any(l.numerator <= 0 for l in lengths):
@@ -456,6 +461,8 @@ class PLFunction:
     __slots__ = ("qgraph", "segments", "vertex_values")
 
     def __init__(self, qgraph: QGraph, segments):
+        _expect(qgraph, QGraph, MetricError)
+        _expect(segments, Mapping, MetricError)
         object.__setattr__(self, "qgraph", qgraph)
         model = qgraph.model
         cooked = {}
@@ -513,6 +520,8 @@ class PLFunction:
 def divisor_of_function(qg: QGraph, f: PLFunction) -> QDivisor:
     """The divisor of a rational function: at each point, minus the sum of
     its outgoing slopes; always of degree zero."""
+    _expect(qg, QGraph, MetricError)
+    _expect(f, PLFunction, MetricError)
     sigma = {}
 
     def bump(point, amount):
@@ -631,7 +640,7 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
         sn, sd = en // common, 4 * ed // common
     top = en * sd // (ed * sn)
     vertex, interior = _plain(d)
-    points = [p for p in d.support() if p.vertex is None]
+    points = [QPoint(edge=e, offset=x) for e, x, _ in interior]  # d's, as _plain sorted them
     grid = 4 * sd * math.lcm(
         *(l.denominator for l in base),
         *(x.denominator * base[e].numerator for e, x, _ in interior),

@@ -7,11 +7,12 @@ restrict E to it. The per-E test goes through q-reduced representatives;
 the answers "rank >= k" are memoized per graph on the reduced form, so
 equivalent branches of the search are shared, and reductions on the part
 away from q, since the coefficient at q only shifts their result. Every
-finite query (rank, certificates, g^r_d, gonality, Weierstrass points,
-gaps) on one MultiGraph object runs in that graph's one session
-(_graph_session), so a reduction, a rank bound or a superstable burning
-test that an earlier query on it made is not made again. On a metric
-graph the session depends on the edge lengths and lives for one call.
+finite query (rank, certificates and verify, g^r_d, gonality, Weierstrass
+points, gaps, is_equivalent, is_winnable) on one MultiGraph object runs
+in that graph's one session (_graph_session), so a reduction, a rank
+bound or a superstable burning test that an earlier query on it made is
+not made again. On a metric graph the session depends on the edge
+lengths and lives for one call.
 
 Riemann-Roch for graphs (Baker-Norine 2007) gives
 r(D) = deg D - g + 1 + r(K - D). When g <= deg D <= 2g - 2, K - D has
@@ -52,7 +53,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import SearchDepthError
+from .errors import SearchDepthError, _expect_iterable
 from .graphs import MultiGraph, genus
 from .divisors import (
     Divisor,
@@ -60,6 +61,7 @@ from .divisors import (
     _dhar_unburnt,
     _superstable_steps,
     canonical_divisor,
+    is_equivalent,
     is_winnable,
     reduce_vector,
 )
@@ -321,8 +323,14 @@ class RankResult:
     nu: Divisor | None
 
     def verify(self, g: MultiGraph, d: Divisor) -> bool:
-        from .divisors import is_equivalent
-
+        """Re-check every claim. The equivalence and winnability tests read
+        g's rank session, so a vector reduced on this graph object before
+        (by rank_with_certificate, say) is not reduced again. A memo hit is
+        what a fresh reduction would return: the q-reduced form is unique,
+        the memo keeps the reducer's output for the part away from q, and
+        the coefficient at q only shifts it. A tampered certificate brings
+        other vectors, decided by their own reduced forms, and a graph
+        object built afresh re-checks from nothing."""
         if self.rank >= 0:
             if self.effective_witness is None or self.failing_evidence is None:
                 return False
@@ -347,7 +355,7 @@ class RankResult:
 def nu_divisor(g: MultiGraph, ordering) -> Divisor:
     """The degree g-1 divisor of a vertex ordering: at each vertex, one less
     than the number of edge ends leading to earlier vertices."""
-    ordering = tuple(ordering)
+    ordering = tuple(_expect_iterable(ordering, "vertex labels", ValueError))
     if sorted(ordering) != sorted(g.vertices):
         raise ValueError("ordering must be a permutation of the vertex set")
     position = {v: i for i, v in enumerate(ordering)}

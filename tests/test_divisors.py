@@ -1,5 +1,6 @@
 """Divisor arithmetic, the Laplacian, and q-reduction."""
 
+import importlib
 import math
 import random
 import re
@@ -18,7 +19,11 @@ from oracles import (
     reduced_laplacian_matrix,
     solve_exact,
     spanning_tree_oracle,
+    winnable_oracle,
 )
+
+# The package re-exports the function rank under the module's name.
+rank_module = importlib.import_module("chipfire.rank")
 
 
 def random_divisor(g, rng, low=-3, high=3):
@@ -170,6 +175,7 @@ def test_divisor_of_the_wrong_kind_is_refused(name, kind):
 
 
 _UNIT_B3 = cf.QGraph.unit(cf.banana_graph(3))
+_FLAT_B3 = cf.PLFunction(_UNIT_B3, {e: [(0, 0), (1, 0)] for e in range(3)})
 
 
 @pytest.mark.parametrize(
@@ -187,15 +193,36 @@ _UNIT_B3 = cf.QGraph.unit(cf.banana_graph(3))
         (lambda: cf.QGraph.unit("x"), cf.MetricError, "MultiGraph"),
         (lambda: cf.canonical_qdivisor("x"), cf.MetricError, "QGraph"),
         (lambda: cf.canonical_qdivisor(cf.banana_graph(3)), cf.MetricError, "QGraph"),
+        (lambda: cf.Divisor(cf.banana_graph(3), [1, 2]), DivisorError, "Mapping"),
+        (lambda: cf.QDivisor(_UNIT_B3, [1]), DivisorError, "Mapping"),
+        (lambda: cf.laplacian_apply(cf.banana_graph(3), 5), DivisorError, "Mapping"),
+        (lambda: cf.laplacian_apply(cf.banana_graph(3), [1]), DivisorError, "Mapping"),
+        (lambda: cf.divisor_of_function(_UNIT_B3, "f"), cf.MetricError, "PLFunction"),
+        (lambda: cf.PLFunction(_UNIT_B3, None), cf.MetricError, "Mapping"),
+        (lambda: cf.PLFunction("x", {}), cf.MetricError, "QGraph"),
+        (lambda: cf.divisor_of_function("x", _FLAT_B3), cf.MetricError, "QGraph"),
+        (lambda: cf.QGraph(cf.banana_graph(3), 5), cf.MetricError, "iterable of edge lengths"),
+        (lambda: cf.parse_graph(5), cf.GraphError, "str"),
+        (lambda: cf.parse_qgraph(5), cf.GraphError, "str"),
+        (lambda: cf.MultiGraph(5, []), cf.GraphError, "iterable of vertex labels"),
+        (lambda: cf.MultiGraph(["a"], 5), cf.GraphError, "iterable of edges"),
+        (lambda: cf.nu_divisor(cf.banana_graph(3), 5), ValueError, "iterable of vertex labels"),
     ],
     ids=["divisor-str", "divisor-str-empty", "from-vector-str", "qdivisor-graph",
-         "qgraph-str", "unit-str", "canonical-str", "canonical-graph"],
+         "qgraph-str", "unit-str", "canonical-str", "canonical-graph",
+         "divisor-list", "qdivisor-list", "laplacian-int", "laplacian-list",
+         "function-str", "segments-none", "function-graph-str", "divisor-of-graph-str",
+         "lengths-int", "parse-int", "parse-q-int",
+         "vertices-int", "edges-int", "ordering-int"],
 )
 def test_carrier_of_the_wrong_kind_is_refused(build, error, kind):
-    """A divisor or a metric graph built on a carrier of the wrong kind is a
-    typed error naming the expected type, not an AttributeError on a missing
-    attribute, and never a divisor bound to a string."""
-    with pytest.raises(error, match=f"expected a {kind}, got "):
+    """A divisor or a metric graph built on a carrier of the wrong kind, and
+    a graph, divisor, function, text or ordering given a value of the wrong
+    kind, is a typed error naming the expected kind, not an AttributeError
+    or a TypeError from a missing attribute or a failed iteration, and
+    never a divisor bound to a string. A list is no vertex function, so
+    laplacian_apply does not read its items as vertex labels."""
+    with pytest.raises(error, match=f"expected an? {kind}, got "):
         build()
 
 
@@ -277,6 +304,42 @@ def test_is_equivalent_matches_oracle(seed):
     assert cf.is_equivalent(g, d1, d2) == equivalent_oracle(
         g, d1.to_vector(), d2.to_vector()
     )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6))
+def test_warmed_session_answers_like_a_fresh_graph_and_the_oracle(seed):
+    """is_equivalent and is_winnable reduce through the graph's rank
+    session. Once ranks, certificates and the same calls have filled its
+    memo, they answer from it without reducing, and what they answer is
+    what a fresh equal graph object, whose memo starts empty, and the
+    brute-force oracles answer."""
+    rng = random.Random(seed)
+    g = cf.random_multigraph(2 + seed % 3, seed % 4, seed=seed)
+    pairs = []
+    for _ in range(4):
+        d = random_divisor(g, rng, -2, 2)
+        pairs.append((d, random_divisor(g, rng, -2, 2)))
+        pairs.append((d, d + cf.laplacian_apply(g, random_function(g, rng))))
+    for d, other in pairs:
+        cf.rank_with_certificate(g, d)
+        cf.is_equivalent(g, d, other)
+        cf.is_winnable(g, other)
+    fresh = cf.MultiGraph(g.vertices, g.edges)
+    for d, other in pairs:
+        with mock.patch.object(rank_module, "reduce_vector", side_effect=AssertionError), \
+                mock.patch.object(divisors, "reduce_vector", side_effect=AssertionError):
+            warm = (cf.is_equivalent(g, d, other), cf.is_winnable(g, d), cf.is_winnable(g, other))
+        assert warm == (
+            cf.is_equivalent(fresh, d, other),
+            cf.is_winnable(fresh, d),
+            cf.is_winnable(fresh, other),
+        )
+        assert warm == (
+            equivalent_oracle(g, d.to_vector(), other.to_vector()),
+            winnable_oracle(g, d.to_vector()),
+            winnable_oracle(g, other.to_vector()),
+        )
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

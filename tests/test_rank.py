@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
+from chipfire import divisors
 from chipfire.metric import _MetricSession
 from chipfire.rank import _direct_rank, _rank_reduced
 
@@ -580,6 +581,73 @@ def test_tampered_ordering_certificate_fails_to_verify():
     )
     for fields in tampered:
         assert not dataclasses.replace(res, **fields).verify(g, d), fields
+
+
+def _moved_divisor_check(g, rng):
+    """The class-group benchmark's moved-divisor check: a Laplacian image
+    with one chip moved is not principal, and its rank -1 certificate
+    verifies."""
+    src, dst = rng.sample(g.vertices, 2)
+    d = cf.laplacian_apply(g, random_function(g, rng, -20, 20))
+    d = d - cf.Divisor(g, {src: 1}) + cf.Divisor(g, {dst: 1})
+    assert not cf.is_equivalent(g, d, cf.zero_divisor(g))
+    result = cf.rank_with_certificate(g, d)
+    assert result.rank == -1 and result.verify(g, d)
+
+
+def test_moved_divisor_check_reduces_each_vector_once():
+    """is_equivalent, rank_with_certificate and verify reduce through the
+    graph's one rank session. On a class-group panel graph built afresh the
+    moved-divisor check reduces D, 0 and nu - D once each: 3 reductions,
+    not the 5 of a reducer called by each step (D and 0 for the
+    equivalence, D for the rank, nu - D for the certificate's domination
+    check and again in verify). After a principal check on the same graph
+    object the zero vector's reduction is kept, and the check makes 2."""
+    rng = random.Random("moved divisor")
+    for principal_first, expected in ((False, 3), (True, 2)):
+        g = cf.random_multigraph(45, 22, seed=1005)
+        if principal_first:
+            image = cf.laplacian_apply(g, random_function(g, rng, -20, 20))
+            assert cf.is_equivalent(g, image, cf.zero_divisor(g))
+        with mock.patch.object(
+            rank_module, "reduce_vector", wraps=rank_module.reduce_vector
+        ) as in_session, mock.patch.object(
+            divisors, "reduce_vector", wraps=divisors.reduce_vector
+        ) as direct:
+            _moved_divisor_check(g, rng)
+        assert (in_session.call_count, direct.call_count) == (expected, 0)
+
+
+def test_verify_gives_the_same_verdict_on_a_fresh_graph():
+    """verify reads the memo of the graph object it is handed. A certificate
+    made on g, intact or tampered, gets the same verdict there as on a fresh
+    equal graph object, which reduces every vector from nothing, for
+    certificates of both kinds."""
+    rng = random.Random("verify on a fresh graph")
+    kinds = set()
+    for trial in range(30):
+        g = cf.random_multigraph(2 + trial % 4, trial % 4, seed=trial)
+        d = random_divisor(g, rng, -2, 3)
+        res = cf.rank_with_certificate(g, d)
+        kinds.add(res.rank >= 0)
+        q = cf.Divisor(g, {g.vertices[0]: 1})
+        if res.rank >= 0:
+            variants = [
+                dataclasses.replace(res, effective_witness=res.effective_witness + q),
+                dataclasses.replace(res, failing_evidence=res.failing_evidence - q),
+                dataclasses.replace(res, rank=res.rank - 1, failing_evidence=q),
+            ]
+        else:
+            order = res.nu_ordering[::-1]
+            variants = [
+                dataclasses.replace(res, nu_ordering=order, nu=cf.nu_divisor(g, order)),
+                dataclasses.replace(res, nu=res.nu - q),
+            ]
+        assert res.verify(g, d)
+        for cert in [res, *variants]:
+            fresh = cf.MultiGraph(g.vertices, g.edges)
+            assert cert.verify(fresh, d) == cert.verify(g, d), (trial, cert)
+    assert kinds == {True, False}
 
 
 # -- Riemann-Roch -------------------------------------------------------------
