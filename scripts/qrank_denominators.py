@@ -11,7 +11,11 @@ whole segments, so the cost should not grow with the denominator.
 
 A probe row is the median wall time of --repeats runs of
 semicontinuity_probe(eps=1/6) on one instance, and the metric burning
-passes of one more, counted by wrapping the pass that metric.py calls.
+passes and segment skeleton builds of one more, counted by wrapping the
+pass that metric.py calls and the session's skeleton builder. A call
+builds one skeleton per shape of the interior support it meets and reuses
+it on later passes, so a row that builds more skeletons than it runs
+passes is a failure.
 Each instance has a row of 27 samples and a row of one sample, the call
 the metric-probe benchmark times, which pays the call's setup (the grid,
 the base rank, the session frame) for its one sample. The instances are
@@ -22,7 +26,8 @@ samples on one integer grid, so every record's ranks are rechecked here
 against q_rank of the perturbed metric graph and divisor, built through
 the public constructors: lengths moved by their deltas, each interior
 point kept at its share of its edge, moved by its shift and clamped to the
-edge. The script exits 1 on a wrong rank or on any disagreement.
+edge. The script exits 1 on a wrong rank, on any disagreement, or on more
+skeleton builds than passes.
 
     PYTHONPATH=src python3 scripts/qrank_denominators.py [--repeats 21]
 """
@@ -76,21 +81,30 @@ def _perturbed(qg, d, record, scale):
     return perturbed, cf.QDivisor(perturbed, coeffs)
 
 
-def _counted_passes(run):
-    passes = 0
+def _counted_work(run):
+    """(metric burning passes, segment skeleton builds) of one run."""
+    passes = builds = 0
     real_pass = metric._dhar_unburnt
+    real_build = metric._MetricSession._skeleton
 
-    def counted(*args):
+    def counted_pass(*args):
         nonlocal passes
         passes += 1
         return real_pass(*args)
 
-    metric._dhar_unburnt = counted
+    def counted_build(*args):
+        nonlocal builds
+        builds += 1
+        return real_build(*args)
+
+    metric._dhar_unburnt = counted_pass
+    metric._MetricSession._skeleton = counted_build
     try:
         run()
     finally:
         metric._dhar_unburnt = real_pass
-    return passes
+        metric._MetricSession._skeleton = real_build
+    return passes, builds
 
 
 def _median_ms(run, repeats):
@@ -143,12 +157,20 @@ def _probe_rows(repeats):
                         f" perturbed objects {expected}"
                     )
             ms = _median_ms(probe, repeats)
-            passes = _counted_passes(probe)
+            passes, builds = _counted_work(probe)
             rows.append({
                 "instance": index, "samples": samples, "median_ms": ms,
-                "metric_burning_passes": passes,
+                "metric_burning_passes": passes, "skeleton_builds": builds,
             })
-            print(f"probe {index}  {samples:>2} samples  {ms:.3f} ms  {passes} passes")
+            print(
+                f"probe {index}  {samples:>2} samples  {ms:.3f} ms  {passes} passes"
+                f"  {builds} skeleton builds"
+            )
+            if builds > passes:
+                raise SystemExit(
+                    f"instance {index}, {samples} samples: {builds} skeleton builds"
+                    f" for {passes} burning passes"
+                )
     return rows
 
 

@@ -218,9 +218,12 @@ def _on_grid(num: int, den: int, scale: int) -> int:
 
 def _model_frame(model: MultiGraph):
     """What a _MetricSession reads of the model alone, whatever the lengths:
-    the search's far_order and the (u, v) vertex indices of each edge."""
+    the search's far_order, the (u, v) vertex indices of each edge, and an
+    empty dict of segment skeletons keyed by shape, which the sessions
+    that share the frame fill (_MetricSession._segments). A frame lives
+    for one call and is never kept on the model."""
     ends = tuple((model.index(u), model.index(v)) for u, v in model.edges)
-    return _far_order(model), ends
+    return _far_order(model), ends, {}
 
 
 class _MetricSession(_Session):
@@ -235,16 +238,19 @@ class _MetricSession(_Session):
     2011), so the order only decides which vertex is probed first. Its
     memos depend on the lengths as well as the model, so each session
     starts its own and lives for one call; QGraphs that share a model
-    object never share a memo.
+    object never share a memo. The segment skeletons depend on the model
+    and the shape alone, not on the lengths, positions or chips, so the
+    sessions of one call share them through its frame.
     """
 
-    __slots__ = ("ends", "lengths")
+    __slots__ = ("ends", "lengths", "skeletons")
 
     def __init__(self, model: MultiGraph, lengths, frame=None):
         """frame: _model_frame(model), passed by a caller that ranks on
-        many lengths, so that it reads the model once."""
-        far_order, self.ends = frame or _model_frame(model)
-        super().__init__(model, far_order=far_order)
+        many lengths, so that it reads the model once and builds each
+        segment skeleton once."""
+        far_order, self.ends, self.skeletons = frame or _model_frame(model)
+        super().__init__(model, ({}, {}, {}, [far_order]))
         self.lengths = tuple(lengths)
 
     def degree(self, red):
@@ -295,44 +301,53 @@ class _MetricSession(_Session):
 
     def _segments(self, vertex, interior):
         """Chips and segments of the special points: the model vertices, then
-        the interior points in order. adj[a] holds (b, 1) per segment from a
-        to b; segs holds each segment once as (a, b, length, edge, position
-        of a), a before b along the edge."""
-        chips = list(vertex)
-        adj = [[] for _ in chips]
+        the interior points in order. The segments come from the skeleton
+        of the state's shape, the edge of each interior point in order,
+        built the first time a session on this frame meets that shape."""
+        shape = tuple([point[0] for point in interior])
+        skeleton = self.skeletons.get(shape)
+        if skeleton is None:
+            skeleton = self.skeletons[shape] = self._skeleton(shape)
+        return [*vertex, *[point[2] for point in interior]], *skeleton
+
+    def _skeleton(self, shape):
+        """The segment graph of a shape: adj[a] holds (b, 1) per segment from
+        a to b; segs holds each segment once as (a, b, edge), a before b
+        along the edge. Interior point k is numbered m + k."""
+        m = self.n
+        adj = [[] for _ in range(m + len(shape))]
         segs = []
-        lengths = self.lengths
-        k, last = 0, len(interior)
+        b, last = m, m + len(shape)
         for e, (u, v) in enumerate(self.ends):
-            if k == last or interior[k][0] != e:  # no interior point on e
-                adj[u].append((v, 1))
-                adj[v].append((u, 1))
-                segs.append((u, v, lengths[e], e, 0))
-                continue
-            a, at = u, 0
-            while k < last and interior[k][0] == e:
-                _, pos, c = interior[k]
-                b = len(chips)
-                chips.append(c)
-                adj.append([(a, 1)])
+            a = u
+            while b < last and shape[b - m] == e:
                 adj[a].append((b, 1))
-                segs.append((a, b, pos - at, e, at))
-                a, at = b, pos
-                k += 1
+                adj[b].append((a, 1))
+                segs.append((a, b, e))
+                a = b
+                b += 1
             adj[a].append((v, 1))
             adj[v].append((a, 1))
-            segs.append((a, v, lengths[e] - at, e, at))
-        return chips, adj, segs
+            segs.append((a, v, e))
+        return adj, segs
 
     def _fire_unburnt(self, chips, segs, burnt, interior):
         """Every segment with one burnt end carries one chip from its unburnt
         end a distance t toward the burnt one, t the shortest such segment.
+        A frontier segment's ends are read off its points: an interior
+        point's position, or 0 and the edge's length at a model vertex.
 
         An unburnt point sends its threat in chips and did not burn, so it
         keeps a nonnegative count unless it is q, which goes into debt only
         while lending.
         """
-        frontier = [seg for seg in segs if burnt[seg[0]] != burnt[seg[1]]]
+        m, lengths = self.n, self.lengths
+        frontier = []
+        for a, b, e in segs:
+            if burnt[a] != burnt[b]:
+                at = interior[a - m][1] if a >= m else 0
+                to = interior[b - m][1] if b >= m else lengths[e]
+                frontier.append((a, b, to - at, e, at))
         t = min([seg[2] for seg in frontier])
         landed = []
         for a, b, length, e, at in frontier:
@@ -346,7 +361,6 @@ class _MetricSession(_Session):
                 chips[end] += 1
             else:
                 landed.append((e, pos, 1))
-        m = self.n
         kept = [(e, pos, c) for (e, pos, _), c in zip(interior, chips[m:]) if c]
         # The kept points are in order; a chip that lands mid-segment is not.
         return tuple(chips[:m]), tuple(sorted(kept + landed) if landed else kept)
@@ -407,12 +421,14 @@ def _rank_on_grid(model, units, state, clifford=False, frame=None) -> int:
 
 def _grid_rank(model, lengths, vertex, interior, audit) -> int:
     """q_rank of a metric divisor given as plain data (see _grid_state).
-    The audit at scale 2N doubles the grid's integers."""
+    The audit at scale 2N doubles the grid's integers, and its session
+    shares the model frame, so its skeletons too, with the one at N."""
     units, state, scale = _grid_state(model, lengths, vertex, interior)
-    value = _rank_on_grid(model, units, state)
+    frame = _model_frame(model)
+    value = _rank_on_grid(model, units, state, frame=frame)
     if audit:
         fine = (*state[:-1], tuple((e, 2 * pos, c) for e, pos, c in state[-1]))
-        value2 = _rank_on_grid(model, [2 * l for l in units], fine)
+        value2 = _rank_on_grid(model, [2 * l for l in units], fine, frame=frame)
         if value2 != value:
             raise SubdivisionAuditError(
                 f"rank {value} at scale {scale} but {value2} at scale {2 * scale}"
@@ -604,15 +620,16 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     base divisor is ranked on the same grid. All of it is integer
     arithmetic on numerators and denominators, with the step (4/24, or
     eps/4 for a smaller eps) and the scales as constants; the only Fractions
-    made are the record values, one per value a draw can take. The reduced divisors agree
-    with those of the unit subdivision at any scale that holds the points
-    (Hladky-Kral-Norine 2013), so the ranks are those of q_rank on the
-    perturbed graph, and metric reduction costs the same whatever the
-    grid's size. The sessions share what they read of the model
-    (_model_frame, built once per call); only the lengths and the memos
-    are per sample and scale. Ranks are taken without the 2N subdivision
-    audit, which would double the work per sample, and their search stops
-    at Clifford's bound r <= deg / 2 for degrees up to 2g - 2 (from the
+    made are the record values, one per value the call's draws take. The
+    reduced divisors agree with those of the unit subdivision at any scale
+    that holds the points (Hladky-Kral-Norine 2013), so the ranks are those
+    of q_rank on the perturbed graph, and metric reduction costs the same
+    whatever the grid's size. The sessions share what they read of the
+    model and the segment skeletons of the shapes they meet (_model_frame,
+    built once per call); only the lengths and the memos are per sample
+    and scale. Ranks are taken without the 2N subdivision audit, which
+    would double the work per sample, and their search stops at
+    Clifford's bound r <= deg / 2 for degrees up to 2g - 2 (from the
     metric Riemann-Roch theorem, Gathmann-Kerber 2008), where the next
     level would have to fail.
     """
@@ -657,12 +674,14 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
     for scale in _PROBE_SCALES:
         u = _on_grid(sn * scale.numerator, sd * scale.denominator, grid)
         moves.append((u, [_on_grid(pos, units[e], u) for e, pos, _ in placed]))
-    # The record value of a draw i is step * i, at index i + top.
-    value = [Fraction(sn * i, sd) for i in range(-top, top + 1)]
+    value = {}  # the record value step * i of a draw i, made on first use
     records = []
     for idx in range(samples):
         stretch = [rng.randint(-top, top) for _ in base]
         shift = [rng.randint(-top, top) for _ in points]
+        for i in (*stretch, *shift):
+            if i not in value:
+                value[i] = Fraction(sn * i, sd)
         ranks = []
         for u, share in moves:
             lengths = [l + i * u for l, i in zip(units, stretch)]
@@ -677,8 +696,8 @@ def semicontinuity_probe(qg: QGraph, d: QDivisor, eps, samples: int, seed: int):
         records.append(
             ProbeRecord(
                 index=idx,
-                length_deltas=tuple(value[i + top] for i in stretch),
-                point_shifts=tuple((p, value[j + top]) for p, j in zip(points, shift)),
+                length_deltas=tuple(value[i] for i in stretch),
+                point_shifts=tuple((p, value[j]) for p, j in zip(points, shift)),
                 ranks=tuple(ranks),
                 violation=all(r > base_rank for r in ranks),
             )
@@ -728,6 +747,7 @@ def parse_qgraph(text: str) -> QGraph:
 
 def serialize_qgraph(qg: QGraph) -> str:
     """Inverse of parse_qgraph: vertex header comment, then "u v length" lines."""
+    _expect(qg, QGraph, MetricError)
     lines = ["# vertices: " + " ".join(qg.model.vertices)]
     for (u, v), l in zip(qg.model.edges, qg.lengths):
         lines.append(f"{u} {v} {l}")

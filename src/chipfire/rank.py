@@ -98,14 +98,16 @@ class _Session:
 
     __slots__ = ("graph", "n", "far_order", "geq_memo", "reduce_memo", "tested")
 
-    def __init__(self, graph: MultiGraph, memos=None, far_order=None):
-        """memos: the (geq_memo, reduce_memo, tested) dicts to share, as
-        _graph_session passes them; fresh ones by default. far_order: the
-        graph's _far_order, when the caller already has it."""
+    def __init__(self, graph: MultiGraph, memos=None):
+        """memos: the (geq_memo, reduce_memo, tested, far_order) to share, as
+        _graph_session passes them; fresh ones by default. far_order is a
+        list that holds the graph's _far_order once the first probe_order
+        has built it, or from the start when the caller already has it."""
         self.graph = graph
         self.n = len(graph.vertices)
-        self.far_order = far_order or _far_order(graph)
-        self.geq_memo, self.reduce_memo, self.tested = memos or ({}, {}, {})
+        self.geq_memo, self.reduce_memo, self.tested, self.far_order = (
+            memos or ({}, {}, {}, [])
+        )
 
     def reduced(self, vec_tuple, one_short=False):
         """The q-reduced form, memoized on the part away from q (vertex 0)."""
@@ -156,10 +158,13 @@ class _Session:
         return True
 
     def probe_order(self, red):
-        # Zero-coefficient vertices far from the base fail soonest.
+        # Zero-coefficient vertices far from the base fail soonest. The far
+        # order is built here, so queries that never search never sort.
+        if not self.far_order:
+            self.far_order.append(_far_order(self.graph))
         zeros = []
         rest = []
-        for v in self.far_order:
+        for v in self.far_order[0]:
             (zeros if red[v] == 0 else rest).append(v)
         return zeros + rest
 
@@ -174,13 +179,13 @@ def _graph_session(g: MultiGraph) -> _Session:
     """The finite rank session of g: a _Session on the memos and the
     far_order that g keeps in its _rank_memos slot, set on first use, so
     every query on one graph object shares its reductions, rank bounds and
-    burning tests, and sorts the vertices once. They hold int tuples and
-    no reference to g, so they die with it."""
+    burning tests, and sorts the vertices once, on its first search. They
+    hold int tuples and no reference to g, so they die with it."""
     memos = g._rank_memos
     if memos is None:
-        memos = ({}, {}, {}, _far_order(g))
+        memos = ({}, {}, {}, [])
         object.__setattr__(g, "_rank_memos", memos)
-    return _Session(g, memos[:3], memos[3])
+    return _Session(g, memos)
 
 
 def _child(sess, red, v):

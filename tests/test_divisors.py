@@ -204,6 +204,9 @@ _FLAT_B3 = cf.PLFunction(_UNIT_B3, {e: [(0, 0), (1, 0)] for e in range(3)})
         (lambda: cf.QGraph(cf.banana_graph(3), 5), cf.MetricError, "iterable of edge lengths"),
         (lambda: cf.parse_graph(5), cf.GraphError, "str"),
         (lambda: cf.parse_qgraph(5), cf.GraphError, "str"),
+        (lambda: cf.serialize_qgraph(5), cf.MetricError, "QGraph"),
+        (lambda: cf.serialize_qgraph(None), cf.MetricError, "QGraph"),
+        (lambda: cf.serialize_qgraph("x"), cf.MetricError, "QGraph"),
         (lambda: cf.MultiGraph(5, []), cf.GraphError, "iterable of vertex labels"),
         (lambda: cf.MultiGraph(["a"], 5), cf.GraphError, "iterable of edges"),
         (lambda: cf.nu_divisor(cf.banana_graph(3), 5), ValueError, "iterable of vertex labels"),
@@ -213,6 +216,7 @@ _FLAT_B3 = cf.PLFunction(_UNIT_B3, {e: [(0, 0), (1, 0)] for e in range(3)})
          "divisor-list", "qdivisor-list", "laplacian-int", "laplacian-list",
          "function-str", "segments-none", "function-graph-str", "divisor-of-graph-str",
          "lengths-int", "parse-int", "parse-q-int",
+         "serialize-q-int", "serialize-q-none", "serialize-q-str",
          "vertices-int", "edges-int", "ordering-int"],
 )
 def test_carrier_of_the_wrong_kind_is_refused(build, error, kind):

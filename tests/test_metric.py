@@ -224,6 +224,60 @@ def test_one_short_lending_lands_on_the_reduced_form(case, data):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
+@given(metric_divisors(), st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_sessions_sharing_a_frame_reduce_as_fresh_ones(case, stretch):
+    """One model frame, so one dict of segment skeletons, serves sessions
+    on the grid's lengths, on the lengths at 2N and on longer edges, in
+    turn. A skeleton holds no lengths or positions, so each reduced form
+    equals that of a session on a fresh frame and reduce_vector's on the
+    unit-edge subdivision, and the shared frame meets the fresh frames'
+    shapes."""
+    qg, d = case
+    model = qg.model
+    units, state, _ = _grid_state(model, qg.lengths, *_plain(d))
+    fine = (*state[:-1], tuple((e, 2 * pos, c) for e, pos, c in state[-1]))
+    longer = [l + k for l, k in zip(units, stretch)]
+    frame = metric._model_frame(model)
+    shapes = set()
+    for lengths, start in ((units, state), ([2 * l for l in units], fine), (longer, state)):
+        red = _MetricSession(model, lengths, frame).reduced(start)
+        fresh = _MetricSession(model, lengths)
+        assert red == fresh.reduced(start)
+        shapes.update(fresh.skeletons)
+        grid = cf.QGraph(model, lengths)
+        graph, vertex_of = unit_model_oracle(grid, 1)
+        expected = _unit_vector(graph, vertex_of, _state_items(grid, 1, start))
+        reduce_vector(graph, expected, 0)
+        assert _unit_vector(graph, vertex_of, _state_items(grid, 1, red)) == expected
+    assert set(frame[2]) == shapes
+
+
+def test_segment_skeleton_is_keyed_by_shape_alone():
+    """Sessions on lengths (3, 2) and (5, 4) of banana(2) share the one
+    skeleton of the shape (0,), one interior point on edge 0, and read the
+    frontier segments' lengths off their own lengths and positions. With
+    a chip at Q2 and one at 2 along edge 0, the frontier is Q1-p (2 long)
+    and edge 1 (2 or 4 long). With Q2 empty and two chips at p, it is
+    Q1-p (2) and p-Q2 (1 or 3 long)."""
+    model = cf.banana_graph(2)
+    frame = metric._model_frame(model)
+    fired = []
+    for lengths in ((3, 2), (5, 4)):
+        sess = _MetricSession(model, lengths, frame)
+        for vertex, interior in (((0, 1), ((0, 2, 1),)), ((0, 0), ((0, 2, 2),))):
+            chips, adj, segs = sess._segments(vertex, interior)
+            _, burnt, _ = metric._dhar_unburnt(adj, chips, 0, len(chips))
+            fired.append(sess._fire_unburnt(chips, segs, burnt, interior))
+    assert list(frame[2]) == [(0,)]
+    assert fired == [
+        ((2, 0), ()),
+        ((0, 1), ((0, 1, 1),)),
+        ((1, 0), ((1, 2, 1),)),
+        ((1, 0), ((0, 4, 1),)),
+    ]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
 @given(metric_divisors(), st.integers(-20, 20))
 def test_metric_reduction_shifts_with_the_coefficient_at_q(case, a):
     """The metric reduction never depends on the chips at q (vertex 0): a
@@ -365,9 +419,9 @@ def test_subdivision_audit_disagreement_raises(capsys):
     real = metric._rank_on_grid
     calls = []
 
-    def off_at_2n(model, units, state):
+    def off_at_2n(model, units, state, frame=None):
         calls.append(units)
-        value = real(model, units, state)
+        value = real(model, units, state, frame=frame)
         if len(calls) == 2:
             assert units == [2 * l for l in calls[0]]
             return value + 1

@@ -618,6 +618,22 @@ def test_moved_divisor_check_reduces_each_vector_once():
         assert (in_session.call_count, direct.call_count) == (expected, 0)
 
 
+def test_far_order_is_built_on_the_first_search():
+    """A graph object's rank session sorts its vertices on its first
+    search, not before: is_equivalent, is_winnable and q_reduce never
+    search, and leave the far order unbuilt. The first rank builds it, in
+    the order _far_order gives, and a second rank finds it built."""
+    g = cf.random_multigraph(8, 4, seed=3)
+    d = cf.Divisor(g, {g.vertices[-1]: 2, g.vertices[1]: -1})
+    assert cf.is_equivalent(g, d, d)
+    cf.is_winnable(g, d)
+    cf.q_reduce(g, d, g.vertices[0])
+    assert g._rank_memos[3] == []
+    cf.rank(g, d)
+    cf.rank(g, d + d)
+    assert g._rank_memos[3] == [rank_module._far_order(g)]
+
+
 def test_verify_gives_the_same_verdict_on_a_fresh_graph():
     """verify reads the memo of the graph object it is handed. A certificate
     made on g, intact or tampered, gets the same verdict there as on a fresh
